@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .core import CoveragePattern, Hypergraph
+from .core import CoveragePattern, Hypergraph, uncovered_set
 from .errors import InvalidInstanceError, SizeLimitError
 from .reduction import incidence_matrix
 
@@ -125,11 +125,8 @@ def triple_coverage(
     """
     if pattern.n < 3:
         raise InvalidInstanceError("triple coverage needs at least 3 taxa")
-    rows = incidence_matrix(pattern).rows
-    for triple in combinations(range(pattern.n), 3):
-        if rows[triple[0]] & rows[triple[1]] & rows[triple[2]] == 0:
-            return False, triple
-    return True, None
+    gap = uncovered_set(incidence_matrix(pattern).rows, 3)
+    return gap is None, gap
 
 
 def common_taxon(pattern: CoveragePattern) -> Optional[int]:

@@ -150,7 +150,7 @@ def parse_hypergraph_file(path: str) -> Hypergraph:
             continue
         if node_count is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "nodes":
+            if len(parts) != 2 or parts[0] != "nodes" or not parts[1].isdecimal():
                 raise InputFormatError(f"line {lineno}: expected 'nodes N'")
             node_count = int(parts[1])
             continue
@@ -187,7 +187,10 @@ def _emit_report(report: dict, args) -> None:
     else:
         lines = [f"{key}: {json.dumps(value)}" for key, value in sorted(report.items())]
         text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None) and args.command not in ("emit-ilp", "emit-cnf"):
+    if args.command in ("emit-ilp", "emit-cnf"):
+        # --out holds the model; without it the model alone goes to stdout
+        (sys.stdout if args.out else sys.stderr).write(text)
+    elif args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -373,18 +376,29 @@ def _cmd_subset(args) -> tuple[int, dict]:
 # --------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+_SOLVER_FLAGS = {
+    "--strategy": {"choices": ("auto", "direct", "fpt", "oracle"), "default": "auto"},
+    "--oracle-cap": {"type": int, "default": oracle.DEFAULT_NODE_CAP},
+    "--search-cap": {"type": int, "default": DEFAULT_SEARCH_CAP},
+    "--parallel": {"action": "store_true"},
+}
+_SEARCH_FLAGS = ("--search-cap", "--parallel")
+_DECIDE_FLAGS = ("--strategy", "--oracle-cap") + _SEARCH_FLAGS
+
+
+def _add_common(
+    parser: argparse.ArgumentParser,
+    formats: tuple[str, ...],
+    solver_flags: tuple[str, ...] = (),
+) -> None:
     parser.add_argument("--input", required=True, help="input file path")
     parser.add_argument(
         "--format", choices=formats, default=formats[0], help="input file format"
     )
     parser.add_argument("--out", help="output path")
     parser.add_argument("--report", choices=("json", "text"), default="json")
-    parser.add_argument("--strategy", choices=("auto", "direct", "fpt", "oracle"),
-                        default="auto")
-    parser.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_NODE_CAP)
-    parser.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
-    parser.add_argument("--parallel", action="store_true")
+    for flag in solver_flags:
+        parser.add_argument(flag, **_SOLVER_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,20 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
     pattern_formats = ("matrix-csv", "locus-list")
     graph_formats = ("matrix-csv", "locus-list", "edge-list")
 
-    _add_common(sub.add_parser("check", help="decide decisiveness"), pattern_formats)
+    p_check = sub.add_parser("check", help="decide decisiveness")
+    _add_common(p_check, pattern_formats, _DECIDE_FLAGS)
     p_nrc = sub.add_parser("nrc", help="run a raw no-rainbow search")
     p_nrc.add_argument("--r", type=int, choices=(2, 3, 4), default=4)
-    _add_common(p_nrc, graph_formats)
+    _add_common(p_nrc, graph_formats, _SEARCH_FLAGS)
     p_oracle = sub.add_parser("oracle", help="brute-force no-rainbow search")
     p_oracle.add_argument("--r", type=int, choices=(2, 3, 4), default=4)
-    _add_common(p_oracle, graph_formats)
+    _add_common(p_oracle, graph_formats, ("--oracle-cap",))
     _add_common(sub.add_parser("reduce", help="kernelize and report"), pattern_formats)
     _add_common(sub.add_parser("bound", help="coverage bound report"), pattern_formats)
     _add_common(sub.add_parser("emit-ilp", help="write the LP model"), pattern_formats)
     p_cnf = sub.add_parser("emit-cnf", help="write the DIMACS model")
     p_cnf.add_argument("--surjectivity", choices=("aux", "enumerate"), default="aux")
     _add_common(p_cnf, graph_formats)
-    _add_common(sub.add_parser("subset", help="greedy decisive subset"), pattern_formats)
+    p_subset = sub.add_parser("subset", help="greedy decisive subset")
+    _add_common(p_subset, pattern_formats, _DECIDE_FLAGS)
     return parser
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InvalidInstanceError
 
@@ -206,6 +206,43 @@ def no_rainbow_failure(h: Hypergraph, coloring: Coloring) -> Optional[str]:
     for idx, edge in enumerate(h.edges):
         if is_rainbow(edge, coloring):
             return f"rainbow edge {idx}: {edge}"
+    return None
+
+
+def uncovered_set(rows: Sequence[int], size: int) -> Optional[tuple[int, ...]]:
+    """The lexicographically first ``size`` indices whose rows AND to 0.
+
+    ``rows[i]`` is node i's incidence row (bit j set iff node i is in edge
+    j), so the result is the first ``size``-set that no edge contains, or
+    None.  Only the first ``size`` copies of each distinct row are scanned: a
+    later copy can always be swapped for an earlier one missing from the set,
+    which gives the same AND and a lexicographically smaller set.
+    """
+    if size < 1:
+        raise InvalidInstanceError(f"set size must be positive, got {size}")
+    seen: dict[int, int] = {}
+    keep: list[int] = []
+    for i, row in enumerate(rows):
+        copies = seen.get(row, 0)
+        if copies < size:
+            seen[row] = copies + 1
+            keep.append(i)
+    return _first_zero_and([rows[i] for i in keep], keep, 0, size, -1)
+
+
+def _first_zero_and(
+    kept_rows: list[int], keep: list[int], start: int, size: int, acc: int
+) -> Optional[tuple[int, ...]]:
+    # the innermost level stays an inline loop: it runs O(n^size) times
+    if size == 1:
+        for p in range(start, len(keep)):
+            if acc & kept_rows[p] == 0:
+                return (keep[p],)
+        return None
+    for p in range(start, len(keep) - size + 1):
+        rest = _first_zero_and(kept_rows, keep, p + 1, size - 1, acc & kept_rows[p])
+        if rest is not None:
+            return (keep[p],) + rest
     return None
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Coloring, Hypergraph, connected_components
+from .core import Coloring, Hypergraph, connected_components, uncovered_set
 from .errors import InvalidInstanceError, SizeLimitError
 
 DEFAULT_SEARCH_CAP = 34
@@ -71,30 +71,22 @@ def non_neighbor_coloring(n: int, r: int, group: tuple[int, ...]) -> Coloring:
 
 
 def non_neighbor_witness(h: Hypergraph, r: int) -> Optional[Coloring]:
-    """Witness from a small node set contained in no edge, if one exists.
+    """Witness from r - 1 nodes contained in no edge, if such a set exists.
 
-    Searches pairs first, then (for r=4) triples, in index order.  The
-    resulting coloring gives the set distinct colors; any rainbow edge would
-    have to contain the whole set, which no edge does.
+    The first such set in index order gets distinct colors; any rainbow edge
+    would have to contain the whole set, which no edge does.
     """
     n = h.node_count
     if n < r:
         raise InvalidInstanceError(f"need at least r={r} nodes, got {n}")
     if r < 3:
         return None  # sets of size 2..r-1 require r >= 3
-    neighbor_mask = [0] * n
-    for mask, edge in zip(h.edge_masks, h.edges):
+    rows = [0] * n
+    for j, edge in enumerate(h.edges):
         for v in edge:
-            neighbor_mask[v] |= mask
-    for u, v in combinations(range(n), 2):
-        if not (neighbor_mask[u] >> v) & 1:
-            return non_neighbor_coloring(n, r, (u, v))
-    if r >= 4:
-        for triple in combinations(range(n), 3):
-            tmask = (1 << triple[0]) | (1 << triple[1]) | (1 << triple[2])
-            if not any(mask & tmask == tmask for mask in h.edge_masks):
-                return non_neighbor_coloring(n, r, triple)
-    return None
+            rows[v] |= 1 << j
+    group = uncovered_set(rows, r - 1)
+    return None if group is None else non_neighbor_coloring(n, r, group)
 
 
 def _propagate_last_guess_color(

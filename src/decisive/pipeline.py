@@ -1,8 +1,11 @@
 """The decisiveness decision procedure and the decisive-subset heuristic.
 
 A pattern is decisive iff its coverage hypergraph has no no-rainbow
-4-coloring.  ``decide`` runs cheap certificates first (full locus, uncovered
-triple, rooted case, zero-AND rows) and falls back to the exact engines; every
+4-coloring.  ``decide`` runs cheap certificates first (full locus; uncovered
+triple and rooted case, both read off the kernel it builds once; quadruple
+lower bound) and then searches the kernel for a no-rainbow 4-coloring.  Fewer
+colors are never searched: once every triple is covered, a 2- or 3-coloring
+has one taxon of each color inside a common locus, so it is rainbow.  Every
 non-decisive verdict carries a four-block partition witness that is re-checked
 before being returned.
 """
@@ -19,6 +22,7 @@ from .core import (
     Coloring,
     CoveragePattern,
     build_hypergraph,
+    uncovered_set,
     verify_no_rainbow,
 )
 from .errors import DecisiveError, InvalidInstanceError
@@ -29,7 +33,6 @@ DECIDED_TRIVIAL_SMALL = "trivial-small-n"
 DECIDED_FULL_LOCUS = "full-locus"
 DECIDED_TRIPLE_GAP = "triple-gap"
 DECIDED_ROOTED = "rooted"
-DECIDED_ZERO_AND = "zero-and"
 DECIDED_BOUND_SEARCH = "quadruple-bound+search"
 DECIDED_FPT = "fpt"
 DECIDED_DIRECT = "direct-search"
@@ -91,9 +94,10 @@ def decide(
 ) -> Verdict:
     """Decide decisiveness.
 
-    Strategy "auto" runs the screens in cost order and then picks the kernel
-    search when duplicate rows exist, the direct search otherwise.  The other
-    strategies force one engine: "direct", "fpt", or "oracle".
+    Strategy "auto" runs the screens in cost order, then searches the kernel:
+    the verdict reads "fpt" when duplicate rows exist, "direct-search" when
+    the kernel is the input itself.  The other strategies force one engine:
+    "direct", "fpt", or "oracle".
     """
     if strategy not in ("auto", "direct", "fpt", "oracle"):
         raise InvalidInstanceError(f"unknown strategy {strategy!r}")
@@ -129,29 +133,21 @@ def decide(
     if any(members == full for _name, members in pattern.loci):
         return Verdict(True, None, DECIDED_FULL_LOCUS, stats())
 
-    covered, gap = bounds.triple_coverage(pattern)
-    if not covered:
+    ri = reduction.reduce_pattern(pattern)
+    gap = uncovered_set(ri.source.rows, 3)
+    if gap is not None:
         witness = non_neighbor_coloring(n, 4, gap)
         return _non_decisive(pattern, witness, DECIDED_TRIPLE_GAP, stats(triple=gap))
 
-    rooted = bounds.rooted_decide(pattern)
-    if rooted is not None:
-        # triple coverage already held, so the rooted case is decisive
+    # a taxon in every locus: with every triple covered, the rooted case is
+    # decisive
+    if (1 << pattern.k) - 1 in ri.matrix.rows:
         return Verdict(True, None, DECIDED_ROOTED, stats())
-
-    ri = reduction.reduce_pattern(pattern)
-    witness = reduction.zero_and_screen(ri)
-    if witness is not None:
-        return _non_decisive(pattern, witness, DECIDED_ZERO_AND, stats())
 
     bound_flags = bounds.lower_bound_screen(pattern)
 
-    if ri.spares >= 1:
-        outcome = reduction.fpt_nrc4(pattern, search_cap, parallel)
-        engine = DECIDED_FPT
-    else:
-        outcome = nrc4(build_hypergraph(pattern), search_cap, parallel)
-        engine = DECIDED_DIRECT
+    outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
+    engine = DECIDED_FPT if ri.spares else DECIDED_DIRECT
     if outcome.found:
         tag = DECIDED_BOUND_SEARCH if bound_flags else engine
         return _non_decisive(

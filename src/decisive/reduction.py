@@ -1,18 +1,21 @@
 """Incidence-matrix kernelization and the fixed-parameter decision driver.
 
 Each taxon's row is stored as a k-bit integer (bit j set iff the taxon is in
-locus j).  Striking out duplicate rows leaves at most 2^k nodes; the reduced
-hypergraph preserves the no-rainbow verdict, with spare copies available to
-pad 2- and 3-color witnesses back up to four colors.
+locus j).  Striking out duplicate rows leaves at most 2^k nodes.  Once every
+triple of taxa lies in some locus, the reduced hypergraph has a no-rainbow
+4-coloring iff the original has one, and copies take their representative's
+color.  No 2- or 3-coloring of the kernel needs searching: after the triple
+screen one representative of each color lies in a common locus, so every
+such coloring is rainbow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 from typing import Optional
 
-from .core import Coloring, CoveragePattern, Hypergraph
+from .core import Coloring, CoveragePattern, Hypergraph, uncovered_set
 from .errors import InvalidInstanceError
 from .nrc import (
     DEFAULT_SEARCH_CAP,
@@ -41,11 +44,21 @@ class IncidenceMatrix:
 class ReducedInstance:
     """The kernel: distinct rows, their representatives, and the copy classes."""
 
-    source_n: int
+    source: IncidenceMatrix
     matrix: IncidenceMatrix  # reduced matrix, one row per distinct source row
     representatives: tuple[int, ...]  # source row index per reduced row
     copies: dict[int, tuple[int, ...]]  # representative -> all identical source rows
-    hypergraph: Hypergraph  # columns of the reduced matrix as edges
+
+    @cached_property
+    def hypergraph(self) -> Hypergraph:
+        """Columns of the reduced matrix as edges; built only for a search."""
+        rows = self.matrix.rows
+        edges = []
+        for j in range(self.matrix.k):
+            edge = tuple(p for p, row in enumerate(rows) if (row >> j) & 1)
+            if edge:
+                edges.append(edge)
+        return Hypergraph(max(len(rows), 1), tuple(edges))
 
     @property
     def n_reduced(self) -> int:
@@ -53,7 +66,7 @@ class ReducedInstance:
 
     @property
     def spares(self) -> int:
-        return self.source_n - self.n_reduced
+        return self.source.n - self.n_reduced
 
 
 def incidence_matrix(pattern: CoveragePattern) -> IncidenceMatrix:
@@ -67,29 +80,15 @@ def incidence_matrix(pattern: CoveragePattern) -> IncidenceMatrix:
 
 def dedup(matrix: IncidenceMatrix) -> ReducedInstance:
     """Strike out duplicate rows, keeping first occurrences as representatives."""
-    order: dict[int, int] = {}
-    copies: dict[int, list[int]] = {}
-    representatives: list[int] = []
+    classes: dict[int, list[int]] = {}  # row -> identical source rows, in order
     for i, row in enumerate(matrix.rows):
-        if row in order:
-            copies[representatives[order[row]]].append(i)
-        else:
-            order[row] = len(representatives)
-            representatives.append(i)
-            copies[i] = [i]
-    reduced_rows = tuple(matrix.rows[rep] for rep in representatives)
-    edges = []
-    for j in range(matrix.k):
-        edge = tuple(p for p, row in enumerate(reduced_rows) if (row >> j) & 1)
-        if edge:
-            edges.append(edge)
-    reduced = IncidenceMatrix(len(reduced_rows), matrix.k, reduced_rows)
+        classes.setdefault(row, []).append(i)
+    reduced_rows = tuple(classes)
     return ReducedInstance(
-        source_n=matrix.n,
-        matrix=reduced,
-        representatives=tuple(representatives),
-        copies={rep: tuple(members) for rep, members in copies.items()},
-        hypergraph=Hypergraph(max(len(reduced_rows), 1), tuple(edges)),
+        source=matrix,
+        matrix=IncidenceMatrix(len(reduced_rows), matrix.k, reduced_rows),
+        representatives=tuple(members[0] for members in classes.values()),
+        copies={members[0]: tuple(members) for members in classes.values()},
     )
 
 
@@ -98,28 +97,16 @@ def reduce_pattern(pattern: CoveragePattern) -> ReducedInstance:
 
 
 def zero_and_screen(ri: ReducedInstance) -> Optional[Coloring]:
-    """Witness from two or three rows whose bitwise AND is all zeroes.
+    """Witness from three source taxa whose rows AND to zero (two such rows
+    plus any third taxon will do), if any exist.
 
     Such taxa share no locus, hence form a non-neighbor set in the original
     hypergraph; the returned coloring is over the original taxa.
     """
-    if ri.source_n < 4:
+    if ri.source.n < 4:
         raise InvalidInstanceError("zero-AND screen needs at least 4 source taxa")
-    rows = ri.matrix.rows
-    reps = ri.representatives
-    for p, row in enumerate(rows):
-        # two copies of an all-zero row are themselves a non-neighbor pair
-        if row == 0 and len(ri.copies[reps[p]]) >= 2:
-            pair = ri.copies[reps[p]][:2]
-            return non_neighbor_coloring(ri.source_n, 4, pair)
-    for a, b in combinations(range(len(rows)), 2):
-        if rows[a] & rows[b] == 0:
-            return non_neighbor_coloring(ri.source_n, 4, (reps[a], reps[b]))
-    for a, b, c in combinations(range(len(rows)), 3):
-        if rows[a] & rows[b] & rows[c] == 0:
-            group = tuple(sorted((reps[a], reps[b], reps[c])))
-            return non_neighbor_coloring(ri.source_n, 4, group)
-    return None
+    group = uncovered_set(ri.source.rows, 3)
+    return None if group is None else non_neighbor_coloring(ri.source.n, 4, group)
 
 
 def row_count_screen(ri: ReducedInstance) -> bool:
@@ -131,48 +118,32 @@ def row_count_screen(ri: ReducedInstance) -> bool:
 
 
 def lift_coloring(ri: ReducedInstance, reduced_coloring: Coloring) -> Coloring:
-    """Turn a no-rainbow r-coloring of the kernel into one of the original, r=4.
-
-    Copies inherit their representative's color; for r<4 spare copy nodes are
-    recolored with the missing colors (one spare for r=3, two for r=2).
-    """
-    r = reduced_coloring.r
-    if r not in (2, 3, 4):
-        raise InvalidInstanceError(f"cannot lift an r={r} coloring")
-    needed = 4 - r
-    if ri.spares < needed:
-        raise InvalidInstanceError(
-            f"lifting an r={r} coloring needs {needed} spare nodes, "
-            f"have {ri.spares}"
-        )
-    assignment = [0] * ri.source_n
-    for p, rep in enumerate(ri.representatives):
+    """Turn a no-rainbow 4-coloring of the kernel into one of the original:
+    copies inherit their representative's color."""
+    if reduced_coloring.r != 4:
+        raise InvalidInstanceError(f"cannot lift an r={reduced_coloring.r} coloring")
+    assignment = [0] * ri.source.n
+    for color, rep in zip(reduced_coloring.assignment, ri.representatives):
         for u in ri.copies[rep]:
-            assignment[u] = reduced_coloring.assignment[p]
-    if r == 4:
-        return Coloring(4, tuple(assignment))
-    spare_nodes = [
-        u
-        for rep in ri.representatives
-        for u in ri.copies[rep][1:]  # non-representative copies only
-    ]
-    if r == 3:
-        assignment[spare_nodes[0]] = 4
-        return Coloring(4, tuple(assignment))
-    # r == 2: recolor two spares 3 and 4, preferring two from one big class
-    big = next((rep for rep in ri.representatives if len(ri.copies[rep]) >= 3), None)
-    if big is not None:
-        chosen = list(ri.copies[big][1:3])
-    else:
-        doubles = [rep for rep in ri.representatives if len(ri.copies[rep]) >= 2]
-        if len(doubles) < 2:
-            raise InvalidInstanceError(
-                "lifting an r=2 coloring needs a class of 3 or two classes of 2"
-            )
-        chosen = [ri.copies[doubles[0]][1], ri.copies[doubles[1]][1]]
-    assignment[chosen[0]] = 3
-    assignment[chosen[1]] = 4
+            assignment[u] = color
     return Coloring(4, tuple(assignment))
+
+
+def kernel_nrc4(
+    ri: ReducedInstance,
+    node_cap: int = DEFAULT_SEARCH_CAP,
+    parallel: bool = False,
+) -> NrcOutcome:
+    """4-NRC of the source by an r = 4 search on its kernel, the witness lifted
+    to the source taxa.  Exact once every triple is covered: two copies colored
+    apart would share the locus covering one of them and a taxon of each other
+    color, and make it rainbow."""
+    if ri.n_reduced < 4:
+        return NrcOutcome(None, RULE_EXHAUSTED)
+    outcome = nrc(ri.hypergraph, 4, node_cap=node_cap, parallel=parallel)
+    if outcome.found:
+        return NrcOutcome(lift_coloring(ri, outcome.witness), outcome.rule)
+    return outcome
 
 
 def fpt_nrc4(
@@ -182,10 +153,8 @@ def fpt_nrc4(
 ) -> NrcOutcome:
     """Decide 4-NRC of H(S) through the kernel.
 
-    Runs the zero-AND screen, then searches the kernel for no-rainbow
-    r-colorings with r restricted by the number of spare (duplicate) nodes:
-    two or more spares allow r in {2,3,4}, exactly one allows {3,4}, none
-    allows only r=4.
+    Runs the zero-AND screen, which finds an uncovered triple if one exists,
+    then the r = 4 kernel search.
     """
     if pattern.n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 taxa")
@@ -193,16 +162,4 @@ def fpt_nrc4(
     witness = zero_and_screen(ri)
     if witness is not None:
         return NrcOutcome(witness, RULE_NON_NEIGHBOR)
-    if ri.spares >= 2:
-        color_counts: tuple[int, ...] = (2, 3, 4)
-    elif ri.spares == 1:
-        color_counts = (3, 4)
-    else:
-        color_counts = (4,)
-    for r in color_counts:
-        if ri.n_reduced < r:
-            continue  # no surjective r-coloring of the kernel exists at all
-        outcome = nrc(ri.hypergraph, r, node_cap=node_cap, parallel=parallel)
-        if outcome.found:
-            return NrcOutcome(lift_coloring(ri, outcome.witness), outcome.rule)
-    return NrcOutcome(None, RULE_EXHAUSTED)
+    return kernel_nrc4(ri, node_cap, parallel)

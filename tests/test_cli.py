@@ -1,6 +1,7 @@
 """Command-line interface: formats, subcommands, reports, exit codes."""
 
 import json
+import random
 from importlib import resources
 
 import jsonschema
@@ -17,7 +18,8 @@ from decisive.cli import (
     pattern_to_matrix_csv,
     run,
 )
-from decisive.core import CoveragePattern
+from decisive import emit
+from decisive.core import CoveragePattern, build_hypergraph
 from decisive.errors import InputFormatError
 
 MATRIX = "taxon,L1,L2\na,1,0\nb,1,1\nc,0,1\n"
@@ -82,6 +84,18 @@ class TestFormats:
         with pytest.raises(InputFormatError):
             parse_hypergraph_file(str(f))
 
+    def test_hypergraph_file_bad_node_count(self, tmp_path, capsys, schema):
+        f = tmp_path / "h.txt"
+        f.write_text("# comment\nnodes abc\n0 1 2\n")
+        with pytest.raises(InputFormatError, match="line 2"):
+            parse_hypergraph_file(str(f))
+        code, report = run_cli(
+            capsys, "nrc", "--input", str(f), "--format", "edge-list"
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert report["error"]["type"] == "input"
+        jsonschema.validate(report, schema)
+
 
 class TestCheck:
     def test_full_locus_exit_zero(self, tmp_path, capsys, schema):
@@ -130,6 +144,46 @@ class TestCheck:
     def test_bad_flag_exit_two(self, capsys):
         assert run(["check", "--nope"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command in ("reduce", "bound", "emit-ilp", "emit-cnf")
+            for flag in ("--strategy=auto", "--oracle-cap=14", "--search-cap=34",
+                         "--parallel")
+        ]
+        + [("nrc", "--strategy=auto"), ("nrc", "--oracle-cap=14")]
+        + [("oracle", flag)
+           for flag in ("--strategy=auto", "--search-cap=34", "--parallel")],
+    )
+    def test_flag_the_command_ignores_exit_two(self, tmp_path, capsys, command, flag):
+        f = tmp_path / "p.csv"
+        f.write_text(FULL_LOCUS)
+        args = [command, "--input", str(f), "--format", "matrix-csv"]
+        assert run(args) == EXIT_NO_WITNESS
+        assert run(args + [flag]) == EXIT_INPUT_ERROR
+        capsys.readouterr()
+
+    def test_search_past_the_cap_exit_three(self, tmp_path, capsys, schema):
+        # locus j drops the taxa i = j mod 22 and one random taxon: every
+        # triple is covered and the kernel has 35 rows, one over the cap
+        rng = random.Random(0)
+        loci = []
+        for j in range(22):
+            members = {i for i in range(40) if i % 22 != j}
+            members.discard(rng.choice(sorted(members)))
+            loci.append((f"L{j}", members))
+        p = CoveragePattern.from_sets([f"t{i}" for i in range(40)], loci)
+        f = tmp_path / "p.csv"
+        f.write_text(pattern_to_matrix_csv(p))
+        code, report = run_cli(
+            capsys, "check", "--input", str(f), "--format", "matrix-csv"
+        )
+        assert code == EXIT_CAP_EXCEEDED
+        assert report["error"]["type"] == "size-limit"
+        assert "35 nodes exceeds cap 34" in report["error"]["message"]
+        jsonschema.validate(report, schema)
 
     def test_report_to_file(self, tmp_path, capsys):
         f = tmp_path / "p.csv"
@@ -222,6 +276,25 @@ class TestReportingCommands:
         assert code == EXIT_NO_WITNESS
         assert "p cnf" in out.read_text()
         assert report["mode"] == "aux"
+
+    @pytest.mark.parametrize("command", ["emit-ilp", "emit-cnf"])
+    def test_emit_without_out_keeps_model_and_report_apart(
+        self, tmp_path, capsys, schema, command
+    ):
+        f = tmp_path / "p.csv"
+        f.write_text(FULL_LOCUS)
+        code = run([command, "--input", str(f), "--format", "matrix-csv"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_WITNESS
+        pattern = parse_pattern_text(FULL_LOCUS, "matrix-csv")
+        if command == "emit-ilp":
+            model = emit.emit_ilp(pattern).to_lp_text()
+        else:
+            model = emit.emit_cnf(build_hypergraph(pattern)).to_dimacs()
+        assert captured.out == model
+        report = json.loads(captured.err)
+        assert report["command"] == command and report["out"] is None
+        jsonschema.validate(report, schema)
 
     def test_emit_cnf_enumerate_directory(self, tmp_path, capsys):
         f = tmp_path / "p.csv"

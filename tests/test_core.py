@@ -1,5 +1,9 @@
 """Core types, components, and the rainbow checker."""
 
+from functools import reduce
+from itertools import combinations
+from operator import and_
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +16,7 @@ from decisive.core import (
     connected_components,
     is_rainbow,
     no_rainbow_failure,
+    uncovered_set,
     verify_no_rainbow,
 )
 from decisive.errors import InvalidInstanceError
@@ -122,3 +127,30 @@ class TestRainbow:
     def test_coloring_value_range_checked(self):
         with pytest.raises(InvalidInstanceError):
             Coloring(4, (0, 1, 2, 3))
+
+
+class TestUncoveredSet:
+    @given(
+        st.integers(2, 3),
+        st.integers(1, 4).flatmap(
+            # few loci over many taxa: heavy duplication and all-zero rows
+            lambda k: st.lists(st.integers(0, (1 << k) - 1), max_size=16)
+        ),
+    )
+    def test_matches_lex_first_combination(self, size, rows):
+        expected = next(
+            (c for c in combinations(range(len(rows)), size)
+             if reduce(and_, (rows[i] for i in c)) == 0),
+            None,
+        )
+        assert uncovered_set(rows, size) == expected
+
+    def test_later_copies_are_skipped(self):
+        # the third copy of row 0b01 is never needed for a pair
+        assert uncovered_set([0b01, 0b01, 0b01, 0b10], 2) == (0, 3)
+        assert uncovered_set([0, 0, 0], 3) == (0, 1, 2)
+        assert uncovered_set([0b11, 0b11, 0b11, 0b11], 3) is None
+
+    def test_size_must_be_positive(self):
+        with pytest.raises(InvalidInstanceError):
+            uncovered_set([0, 0], 0)

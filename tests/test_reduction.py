@@ -1,10 +1,12 @@
 """Kernelization: dedup, screens, lifting, and the fixed-parameter driver."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import duplicated_pattern, random_pattern
+from decisive.bounds import star_hypergraph
 from decisive.core import (
     Coloring,
     CoveragePattern,
@@ -14,6 +16,7 @@ from decisive.core import (
 from decisive.errors import InvalidInstanceError
 from decisive.nrc import nrc4
 from decisive.oracle import brute_force_nrc
+from decisive.pipeline import coloring_from_partition, decide
 from decisive.reduction import (
     IncidenceMatrix,
     dedup,
@@ -111,28 +114,6 @@ class TestLifting:
         lifted = lift_coloring(ri, Coloring(4, (1, 2, 3)))
         assert lifted.assignment == (1, 1, 2, 3)
 
-    def test_r3_spare_gets_color_4(self):
-        m = IncidenceMatrix(5, 2, (0b01, 0b01, 0b10, 0b11, 0b00))
-        ri = dedup(m)
-        lifted = lift_coloring(ri, Coloring(3, (1, 2, 3, 1)))
-        assert lifted.r == 4
-        assert sorted(set(lifted.assignment)) == [1, 2, 3, 4]
-        # the duplicate of row 0b01 flipped, everything else broadcast
-        assert lifted.assignment == (1, 4, 2, 3, 1)
-
-    def test_r2_needs_enough_duplicate_structure(self):
-        # two copy pairs: one spare from each pair takes colors 3 and 4
-        m = IncidenceMatrix(4, 1, (0, 0, 1, 1))
-        ri = dedup(m)
-        lifted = lift_coloring(ri, Coloring(2, (1, 2)))
-        assert sorted(lifted.assignment) == [1, 2, 3, 4]
-
-    def test_r2_big_class(self):
-        m = IncidenceMatrix(4, 1, (0, 0, 0, 1))
-        ri = dedup(m)
-        lifted = lift_coloring(ri, Coloring(2, (1, 2)))
-        assert lifted.assignment == (1, 3, 4, 2)
-
     def test_insufficient_spares_rejected(self):
         m = IncidenceMatrix(3, 2, (0b01, 0b10, 0b11))
         with pytest.raises(InvalidInstanceError):
@@ -186,3 +167,57 @@ class TestFptDriver:
     def test_too_small_rejected(self):
         with pytest.raises(InvalidInstanceError):
             fpt_nrc4(CoveragePattern.from_sets(list("abc"), [("L", [0, 1, 2])]))
+
+
+def with_copies(
+    rng: random.Random, n: int, loci: list, copies: int
+) -> CoveragePattern:
+    """The pattern on taxa 0..n-1 plus ``copies`` taxa that each repeat the
+    loci of an earlier taxon."""
+    loci = [set(members) for members in loci]
+    for new in range(n, n + copies):
+        source = rng.randrange(new)
+        for members in loci:
+            if source in members:
+                members.add(new)
+    return CoveragePattern.from_sets(
+        [f"t{i}" for i in range(n + copies)],
+        [(f"L{j}", members) for j, members in enumerate(loci)],
+    )
+
+
+def planted_loci(rng: random.Random, n: int) -> list:
+    """Every 4-set of taxa that misses a color of a hidden surjective
+    4-coloring, so that coloring is a no-rainbow witness."""
+    colors = [1, 2, 3, 4] + [rng.randint(1, 4) for _ in range(n - 4)]
+    rng.shuffle(colors)
+    return [q for q in combinations(range(n), 4) if len({colors[v] for v in q}) < 4]
+
+
+class TestKernelSearchAgainstOracle:
+    """Duplicated taxa on the families whose kernels reach the search."""
+
+    @pytest.mark.parametrize("family", ["planted", "star"])
+    def test_decide_and_fpt_match_oracle(self, family):
+        rng = random.Random(f"kernel-{family}")
+        labels = set()
+        for _ in range(12):
+            base = rng.randint(5, 6)
+            loci = (
+                planted_loci(rng, base)
+                if family == "planted"
+                else star_hypergraph(base, 4).edges
+            )
+            p = with_copies(rng, base, loci, rng.randint(2, 9 - base))
+            h = build_hypergraph(p)
+            decisive = brute_force_nrc(h, 4) is None
+            v = decide(p)
+            labels.add(v.decided_by)
+            assert v.decisive == decisive
+            if not decisive:
+                assert verify_no_rainbow(h, coloring_from_partition(v.witness, p.n))
+            fpt = fpt_nrc4(p)
+            assert fpt.found != decisive
+            if fpt.found:
+                assert verify_no_rainbow(h, fpt.witness)
+        assert "fpt" in labels  # the kernel search itself decided some
