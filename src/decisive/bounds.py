@@ -73,11 +73,21 @@ def count_quadruples(
     Uses inclusion-exclusion over locus subsets when k is small, otherwise
     enumerates quadruples directly (refused above the work cap).
     """
+    rows = incidence_matrix(pattern).rows
+    return _count_quadruples(pattern, rows, ie_max_loci, work_cap)
+
+
+def _count_quadruples(
+    pattern: CoveragePattern,
+    rows: tuple[int, ...],
+    ie_max_loci: int = DEFAULT_IE_MAX_LOCI,
+    work_cap: int = DEFAULT_ENUM_WORK_CAP,
+) -> int:
     n, k = pattern.n, pattern.k
     if n < 4:
         raise InvalidInstanceError("quadruple counting needs at least 4 taxa")
-    masks = _locus_masks(pattern)
     if k <= ie_max_loci:
+        masks = _locus_masks(pattern)
         total = 0
         for t in range(1, 1 << k):
             inter = (1 << n) - 1
@@ -95,7 +105,6 @@ def count_quadruples(
             f"direct quadruple enumeration needs ~{work} containment tests, "
             f"cap is {work_cap}"
         )
-    rows = incidence_matrix(pattern).rows
     return sum(
         1
         for quad in combinations(range(n), 4)
@@ -131,12 +140,11 @@ def triple_coverage(
 
 def common_taxon(pattern: CoveragePattern) -> Optional[int]:
     """A taxon covered by every locus, if one exists (smallest index)."""
-    rows = incidence_matrix(pattern).rows
-    all_loci = (1 << pattern.k) - 1
-    for i, row in enumerate(rows):
-        if row == all_loci:
-            return i
-    return None
+    return _full_row(incidence_matrix(pattern).rows, pattern.k)
+
+
+def _full_row(rows: tuple[int, ...], k: int) -> Optional[int]:
+    return rows.index((1 << k) - 1) if (1 << k) - 1 in rows else None
 
 
 def rooted_decide(pattern: CoveragePattern) -> Optional[bool]:
@@ -154,14 +162,18 @@ def rooted_decide(pattern: CoveragePattern) -> Optional[bool]:
 
 
 def bound_report(pattern: CoveragePattern) -> BoundReport:
-    ok, uncovered = triple_coverage(pattern)
-    root = common_taxon(pattern)
+    """Every screen of this module, on one incidence matrix."""
+    if pattern.n < 3:
+        raise InvalidInstanceError("triple coverage needs at least 3 taxa")
+    rows = incidence_matrix(pattern).rows
+    uncovered = uncovered_set(rows, 3)
+    root = _full_row(rows, pattern.k)
     return BoundReport(
         n=pattern.n,
         k=pattern.k,
-        quadruple_count=count_quadruples(pattern),
+        quadruple_count=_count_quadruples(pattern, rows),
         threshold=comb(pattern.n - 1, 3),
-        triple_coverage_ok=ok,
+        triple_coverage_ok=uncovered is None,
         first_uncovered_triple=uncovered,
         rooted=root is not None,
         common_taxon=root,

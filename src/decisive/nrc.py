@@ -1,10 +1,14 @@
 """Exact no-rainbow coloring solvers.
 
 2-NRC is polynomial (disconnection test).  3- and 4-NRC use bounded subset
-enumeration: guess the color classes of the two rarest colors, then complete
-greedily via forced propagation.  The danger/propagation conditions are stated
-for edges of arbitrary size, not just r-uniform ones, so the solvers are exact
-on the non-uniform hypergraphs that coverage patterns produce:
+enumeration: guess the rarest color class A (for 4-NRC also the second
+rarest, B), then complete greedily via forced propagation.  4-NRC takes A by
+size, then in lexicographic order, and B disjoint from A by size from |A| up,
+in lexicographic order and with min A < min B when |A| = |B|; the
+"lexicographically first" witness is the first in this order.  The
+danger/propagation conditions are stated for edges of arbitrary size, not
+just r-uniform ones, so the solvers are exact on the non-uniform hypergraphs
+that coverage patterns produce:
 
 * after classes 1..(r-2) are fixed, an edge can still become rainbow only if
   it touches every fixed class and has at least two uncolored nodes;
@@ -16,8 +20,9 @@ Witness soundness is always re-checkable with core.verify_no_rainbow.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -89,61 +94,36 @@ def non_neighbor_witness(h: Hypergraph, r: int) -> Optional[Coloring]:
     return None if group is None else non_neighbor_coloring(n, r, group)
 
 
-def _propagate_last_guess_color(
-    edge_masks: list[int], fixed_masks: list[int], forced: int, uncolored: int
-) -> tuple[int, int]:
-    """Flood the forced color through edges that already see every other color.
+def _complete(edges: list[int], uncolored: int) -> Optional[tuple[int, int]]:
+    """Split ``uncolored`` into the classes of the last two colors, or None.
 
-    ``fixed_masks`` are the classes of colors 1..r-2, ``forced`` the class of
-    color r-1.  Any edge meeting all of those with uncolored nodes left must
-    have those nodes forced too.  Returns the fixpoint (forced, uncolored).
+    ``edges`` are the edges that meet every fixed class; an edge outside them
+    can never be rainbow.  The first of them with two or more uncolored nodes
+    must keep those nodes in one color, say r-1.  Any edge that then meets
+    color r-1 forces its uncolored nodes to r-1 as well, since color r inside
+    it would complete a rainbow.  The fixpoint of that flood is the least
+    class r-1; the guess fails when it leaves no node for color r.
     """
+    for emask in edges:
+        forced = emask & uncolored
+        if forced & (forced - 1):
+            break
+    else:
+        # nothing can become rainbow: split the rest into two nonempty classes
+        first = uncolored & -uncolored
+        return first, uncolored & ~first
+    # the forced nodes leave ``uncolored`` when the sweep reaches their edge
     changed = True
     while changed:
         changed = False
-        for emask in edge_masks:
-            if emask & uncolored == 0 or emask & forced == 0:
-                continue
-            if any(emask & fixed == 0 for fixed in fixed_masks):
-                continue
-            grab = emask & uncolored
-            forced |= grab
-            uncolored &= ~grab
-            changed = True
+        for emask in edges:
+            if emask & forced and emask & uncolored:
+                forced |= emask & uncolored
+                uncolored &= ~emask
+                if not uncolored:
+                    return None  # the last color would go unused
+                changed = True
     return forced, uncolored
-
-
-def _complete_from_guess(
-    edge_masks: list[int], full_mask: int, fixed_masks: list[int]
-) -> Optional[list[int]]:
-    """Try to finish a coloring with the last two colors, given fixed classes.
-
-    Returns the color-class masks (fixed classes followed by the last two) or
-    None if this guess cannot be completed.
-    """
-    colored = 0
-    for fixed in fixed_masks:
-        colored |= fixed
-    uncolored = full_mask & ~colored
-    dangerous = None
-    for emask in edge_masks:
-        if all(emask & fixed for fixed in fixed_masks) and (
-            emask & uncolored
-        ).bit_count() >= 2:
-            dangerous = emask
-            break
-    if dangerous is None:
-        # nothing can become rainbow: split the rest into two nonempty classes
-        first = uncolored & -uncolored
-        return fixed_masks + [first, uncolored & ~first]
-    forced = dangerous & uncolored
-    uncolored &= ~forced
-    forced, uncolored = _propagate_last_guess_color(
-        edge_masks, fixed_masks, forced, uncolored
-    )
-    if uncolored == 0:
-        return None  # the last color would go unused under this guess
-    return fixed_masks + [forced, uncolored]
 
 
 def _coloring_from_masks(n: int, class_masks: list[int]) -> Coloring:
@@ -156,11 +136,6 @@ def _coloring_from_masks(n: int, class_masks: list[int]) -> Coloring:
     return Coloring(len(class_masks), tuple(assignment))
 
 
-def _masks_of_subsets(nodes: list[int], size: int):
-    for combo in combinations(nodes, size):
-        yield sum(1 << v for v in combo)
-
-
 def nrc3(h: Hypergraph) -> NrcOutcome:
     """Exact 3-NRC by enumerating the rarest color class."""
     n = h.node_count
@@ -168,12 +143,15 @@ def nrc3(h: Hypergraph) -> NrcOutcome:
         raise InvalidInstanceError("3-NRC needs at least 3 nodes")
     edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 3]
     full_mask = (1 << n) - 1
-    nodes = list(range(n))
     for i in range(1, n // 3 + 1):
-        for amask in _masks_of_subsets(nodes, i):
-            classes = _complete_from_guess(edge_masks, full_mask, [amask])
-            if classes is not None:
-                return NrcOutcome(_coloring_from_masks(n, classes), RULE_SEARCH_3)
+        for acombo in combinations([1 << v for v in range(n)], i):
+            amask = sum(acombo)
+            edges_a = [e for e in edge_masks if e & amask]
+            split = _complete(edges_a, full_mask ^ amask)
+            if split is not None:
+                return NrcOutcome(
+                    _coloring_from_masks(n, [amask, *split]), RULE_SEARCH_3
+                )
     return NrcOutcome(None, RULE_EXHAUSTED)
 
 
@@ -182,31 +160,45 @@ def _nrc4_scan(
     n: int,
     stride: int = 1,
     offset: int = 0,
+    stop=None,
 ) -> Optional[list[int]]:
-    """Scan (A, B) guesses; with a stride, only every stride-th A is examined."""
-    full_mask = (1 << n) - 1
-    nodes = list(range(n))
+    """Scan (A, B) guesses in enumeration order; with a stride, only every
+    stride-th A is examined.  ``stop`` is checked once per A: once it is set,
+    the scan returns None."""
+    bits = [1 << v for v in range(n)]
     index = 0
     for i in range(1, n // 4 + 1):
-        for acombo in combinations(nodes, i):
+        for acombo in combinations(bits, i):
             index += 1
             if (index - 1) % stride != offset:
                 continue
-            amask = sum(1 << v for v in acombo)
-            rest = [v for v in nodes if not (amask >> v) & 1]
-            for j in range(1, (n - i) // 3 + 1):
-                for bmask in _masks_of_subsets(rest, j):
-                    classes = _complete_from_guess(
-                        edge_masks, full_mask, [amask, bmask]
-                    )
-                    if classes is not None:
-                        return classes
+            if stop is not None and stop.is_set():
+                return None
+            amask = sum(acombo)
+            edges_a = [e for e in edge_masks if e & amask]
+            rest = [b for b in bits if not b & amask]
+            above = [b for b in rest if b > acombo[0]]
+            rest_mask = sum(rest)
+            for j in range(i, (n - i) // 3 + 1):
+                for bcombo in combinations(above if j == i else rest, j):
+                    bmask = sum(bcombo)
+                    edges_ab = [e for e in edges_a if e & bmask]
+                    split = _complete(edges_ab, rest_mask ^ bmask)
+                    if split is not None:
+                        return [amask, bmask, *split]
     return None
 
 
-def _nrc4_worker(args: tuple[list[int], int, int, int]) -> Optional[list[int]]:
-    edge_masks, n, stride, offset = args
-    return _nrc4_scan(edge_masks, n, stride, offset)
+_stop = None  # the pool's stop event, set in each worker by _init_worker
+
+
+def _init_worker(stop) -> None:
+    global _stop
+    _stop = stop
+
+
+def _nrc4_worker(*args) -> Optional[list[int]]:
+    return _nrc4_scan(*args, stop=_stop)
 
 
 def nrc4(
@@ -217,17 +209,17 @@ def nrc4(
 ) -> NrcOutcome:
     """Exact 4-NRC by enumerating the two rarest color classes.
 
-    Sequential mode returns the lexicographically first witness (by subset
-    enumeration order); parallel mode returns any witness but always the same
-    existence verdict.
+    Sequential mode returns the lexicographically first witness in the order
+    of the module docstring (|A| <= |B|, min A < min B on ties); parallel
+    mode returns any witness, and a shared stop flag then ends the other
+    workers' scans.  Both give the same existence verdict.
     """
     n = h.node_count
     if n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 nodes")
     if n > node_cap:
         raise SizeLimitError(
-            f"4-NRC search refused: {n} nodes exceeds cap {node_cap}; "
-            "reduce the instance first"
+            f"4-NRC search refused: {n} nodes exceeds cap {node_cap}"
         )
     edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 4]
     if parallel:
@@ -245,22 +237,20 @@ def _nrc4_parallel(
     count = workers or min(os.cpu_count() or 1, 8)
     if count <= 1:
         return _nrc4_scan(edge_masks, n)
-    with ProcessPoolExecutor(max_workers=count) as pool:
+    stop = multiprocessing.Event()
+    with ProcessPoolExecutor(
+        count, initializer=_init_worker, initargs=(stop,)
+    ) as pool:
         futures = {
-            pool.submit(_nrc4_worker, (edge_masks, n, count, offset))
+            pool.submit(_nrc4_worker, edge_masks, n, count, offset)
             for offset in range(count)
         }
         result = None
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in done:
-                found = fut.result()
-                if found is not None and result is None:
-                    result = found
-            if result is not None:
-                for fut in futures:
-                    fut.cancel()
-                break
+        for fut in as_completed(futures):
+            found = fut.result()
+            if found is not None and result is None:
+                result = found
+                stop.set()  # running workers return at their next A
     return result
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import Coloring, CoveragePattern, Hypergraph, uncovered_set
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, SizeLimitError
 from .nrc import (
     DEFAULT_SEARCH_CAP,
     RULE_EXHAUSTED,
@@ -140,6 +140,11 @@ def kernel_nrc4(
     color, and make it rainbow."""
     if ri.n_reduced < 4:
         return NrcOutcome(None, RULE_EXHAUSTED)
+    if ri.n_reduced > node_cap:
+        raise SizeLimitError(
+            f"4-NRC search refused: the kernel of {ri.source.n} taxa has "
+            f"{ri.n_reduced} rows, and {ri.n_reduced} nodes exceeds cap {node_cap}"
+        )
     outcome = nrc(ri.hypergraph, 4, node_cap=node_cap, parallel=parallel)
     if outcome.found:
         return NrcOutcome(lift_coloring(ri, outcome.witness), outcome.rule)

@@ -182,7 +182,11 @@ class TestCheck:
         )
         assert code == EXIT_CAP_EXCEEDED
         assert report["error"]["type"] == "size-limit"
-        assert "35 nodes exceeds cap 34" in report["error"]["message"]
+        message = report["error"]["message"]
+        assert "35 nodes exceeds cap 34" in message
+        # the input is already the kernel: name it, and give no reduce advice
+        assert "kernel of 40 taxa has 35 rows" in message
+        assert "reduce" not in message
         jsonschema.validate(report, schema)
 
     def test_report_to_file(self, tmp_path, capsys):

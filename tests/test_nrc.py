@@ -1,6 +1,9 @@
 """Exact no-rainbow solvers against the oracle."""
 
+import multiprocessing
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +11,7 @@ from conftest import random_hypergraph, random_uniform_hypergraph
 from decisive.core import Coloring, Hypergraph, verify_no_rainbow
 from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
+    _nrc4_scan,
     RULE_COMPONENT_SPLIT,
     RULE_EXHAUSTED,
     RULE_NON_NEIGHBOR,
@@ -19,6 +23,21 @@ from decisive.nrc import (
     nrc4,
 )
 from decisive.oracle import brute_force_nrc
+
+
+def planted(rng: random.Random, sizes: tuple[int, ...]) -> Hypergraph:
+    """Every len(sizes)-set that misses a color of a hidden coloring with
+    these class sizes, on randomly relabelled nodes: the hidden coloring is
+    a witness."""
+    color = [c for c, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(color)
+    r = len(sizes)
+    edges = tuple(
+        q
+        for q in combinations(range(len(color)), r)
+        if len({color[v] for v in q}) < r
+    )
+    return Hypergraph(len(color), edges)
 
 
 class TestNrc2:
@@ -72,6 +91,14 @@ class TestNrc3:
     def test_three_triples_blocked(self):
         assert not nrc3(Hypergraph(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3)))).found
 
+    @pytest.mark.parametrize("sizes", [(1, 1, 3), (2, 2, 4), (3, 3, 3), (2, 3, 4)])
+    def test_planted_partition_found(self, sizes):
+        rng = random.Random(sum(sizes))
+        for _ in range(3):
+            h = planted(rng, sizes)
+            out = nrc3(h)
+            assert out.found and verify_no_rainbow(h, out.witness)
+
     def test_matches_oracle(self):
         rng = random.Random(4)
         for _ in range(150):
@@ -90,12 +117,41 @@ class TestNrc4:
     def test_star_blocked_and_deletion_flips(self):
         from decisive.bounds import star_hypergraph
 
-        s = star_hypergraph(6, 4)
-        assert not nrc4(s).found
-        for i in range(len(s.edges)):
-            sub = Hypergraph(6, s.edges[:i] + s.edges[i + 1 :])
-            out = nrc4(sub)
-            assert out.found and verify_no_rainbow(sub, out.witness)
+        for n in (6, 7):
+            s = star_hypergraph(n, 4)
+            assert not nrc4(s).found
+            for i in range(len(s.edges)):
+                sub = Hypergraph(n, s.edges[:i] + s.edges[i + 1 :])
+                out = nrc4(sub)
+                assert out.found and verify_no_rainbow(sub, out.witness)
+
+    # two equal smallest classes: the guess must take B above min A
+    @pytest.mark.parametrize(
+        "sizes", [(1, 1, 2, 3), (1, 1, 4, 6), (2, 2, 3, 3), (3, 3, 3, 3)]
+    )
+    def test_planted_tied_classes_found(self, sizes):
+        rng = random.Random(sum(sizes))
+        for _ in range(3):
+            h = planted(rng, sizes)
+            for out in (nrc4(h), nrc4(h, parallel=True, workers=2)):
+                assert out.found and verify_no_rainbow(h, out.witness)
+
+    def test_set_stop_event_ends_scan(self):
+        # node 0 lies in no edge, so the very first guess completes
+        h = Hypergraph(6, ((1, 2, 3, 4), (2, 3, 4, 5)))
+        assert _nrc4_scan(list(h.edge_masks), 6) is not None
+        stop = multiprocessing.Event()
+        stop.set()
+        assert _nrc4_scan(list(h.edge_masks), 6, stop=stop) is None
+
+    def test_parallel_stops_other_workers(self):
+        # only a guess with A = the singleton class completes, and only one
+        # worker makes it; the other's full scan takes about 25 s on 2 cores
+        h = planted(random.Random(0), (1, 5, 5, 5))
+        start = time.perf_counter()
+        out = nrc4(h, parallel=True, workers=2)
+        assert time.perf_counter() - start < 5.0
+        assert out.found and verify_no_rainbow(h, out.witness)
 
     def test_small_edges_ignored(self):
         # edges below size 4 cannot be rainbow with 4 colors
