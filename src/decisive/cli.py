@@ -22,8 +22,6 @@ from .nrc import DEFAULT_SEARCH_CAP, nrc
 from .core import Coloring, CoveragePattern, Hypergraph, build_hypergraph
 from .errors import DecisiveError, InputFormatError, SizeLimitError
 
-log = logging.getLogger("decisive")
-
 EXIT_NO_WITNESS = 0
 EXIT_WITNESS = 1
 EXIT_INPUT_ERROR = 2
@@ -236,7 +234,7 @@ def _coloring_json(coloring: Optional[Coloring]) -> Optional[list[int]]:
 def _cmd_nrc(args) -> tuple[int, dict]:
     h, _pattern = _load_hypergraph(args)
     start = time.perf_counter()
-    outcome = nrc(h, args.r, node_cap=args.search_cap, parallel=args.parallel)
+    outcome = nrc(h, args.r, guess_cap=args.search_cap, parallel=args.parallel)
     report = _base_report("nrc")
     report.update(
         r=args.r,
@@ -379,7 +377,12 @@ def _cmd_subset(args) -> tuple[int, dict]:
 _SOLVER_FLAGS = {
     "--strategy": {"choices": ("auto", "direct", "fpt", "oracle"), "default": "auto"},
     "--oracle-cap": {"type": int, "default": oracle.DEFAULT_NODE_CAP},
-    "--search-cap": {"type": int, "default": DEFAULT_SEARCH_CAP},
+    "--search-cap": {
+        "type": int,
+        "default": DEFAULT_SEARCH_CAP,
+        "help": "guess budget of the exhaustive search; a larger search is "
+        "refused (exit 3) before it starts",
+    },
     "--parallel": {"action": "store_true"},
 }
 _SEARCH_FLAGS = ("--search-cap", "--parallel")

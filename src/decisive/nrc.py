@@ -16,21 +16,37 @@ that coverage patterns produce:
   to color r-1, since color r inside it would complete a rainbow.
 
 Witness soundness is always re-checkable with core.verify_no_rainbow.
+
+The number of guesses an exhaustive search makes depends only on the node
+count (``nrc3_guesses``, ``nrc4_guesses``).  A search whose count exceeds the
+guess budget is refused before it starts, even though a witness might turn up
+early.
 """
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .core import Coloring, Hypergraph, connected_components, uncovered_set
 from .errors import InvalidInstanceError, SizeLimitError
 
-DEFAULT_SEARCH_CAP = 34
+log = logging.getLogger(__name__)
+
+# guesses an exhaustive search may make: nrc4 on 18 nodes makes 6.5e6, and
+# on star_hypergraph(18, 4) took 141 s on a 2-core x86 VM
+DEFAULT_SEARCH_CAP = 10**7
+# A parallel search runs in-process below this many guesses.  Starting and
+# joining a pool of two workers costs 10-14 ms on a 2-core x86 VM and halves
+# the scan, so it pays off once the sequential scan takes about twice that:
+# some 4,000 guesses at 4-5 us each.
+POOL_MIN_GUESSES = 4_000
 
 RULE_COMPONENT_SPLIT = "component-split"
 RULE_NON_NEIGHBOR = "non-neighbor"
@@ -126,6 +142,49 @@ def _complete(edges: list[int], uncolored: int) -> Optional[tuple[int, int]]:
     return forced, uncolored
 
 
+def nrc3_guesses(n: int) -> int:
+    """Number of A guesses an exhaustive ``nrc3`` makes on n nodes."""
+    return sum(comb(n, i) for i in range(1, n // 3 + 1))
+
+
+def nrc4_guesses(n: int) -> int:
+    """Number of (A, B) guesses an exhaustive ``nrc4`` makes on n nodes.
+
+    |A| = i runs over 1..n//4 and |B| = j over i..(n-i)//3.  When j = i,
+    exactly one of (A, B) and (B, A) has min A < min B, so half of the
+    C(n, i) * C(n-i, i) disjoint pairs are guessed.
+    """
+    total = 0
+    for i in range(1, n // 4 + 1):
+        rest = n - i
+        b_count = comb(rest, i)
+        total += comb(n, i) * b_count // 2
+        larger = 0
+        for j in range(i + 1, rest // 3 + 1):
+            b_count = b_count * (rest - j + 1) // j  # C(rest, j), running
+            larger += b_count
+        total += comb(n, i) * larger
+    return total
+
+
+def check_budget(r: int, guesses: int, guess_cap: int, subject: str) -> None:
+    """Refuse an exhaustive r-NRC search of more than ``guess_cap`` guesses."""
+    if guesses > guess_cap:
+        raise SizeLimitError(
+            f"{r}-NRC search refused: {subject}; an exhaustive search makes "
+            f"{guesses} guesses, over the budget of {guess_cap}"
+        )
+
+
+def _announce(r: int, n: int, guesses: int, guess_cap: int) -> None:
+    """Log a search's estimate, then refuse it if it is over the budget."""
+    log.debug(
+        "%d-NRC search: %d nodes, at most %d guesses, budget %d",
+        r, n, guesses, guess_cap,
+    )
+    check_budget(r, guesses, guess_cap, f"the hypergraph has {n} nodes")
+
+
 def _coloring_from_masks(n: int, class_masks: list[int]) -> Coloring:
     assignment = [0] * n
     for color, mask in enumerate(class_masks, start=1):
@@ -136,11 +195,12 @@ def _coloring_from_masks(n: int, class_masks: list[int]) -> Coloring:
     return Coloring(len(class_masks), tuple(assignment))
 
 
-def nrc3(h: Hypergraph) -> NrcOutcome:
+def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     """Exact 3-NRC by enumerating the rarest color class."""
     n = h.node_count
     if n < 3:
         raise InvalidInstanceError("3-NRC needs at least 3 nodes")
+    _announce(3, n, nrc3_guesses(n), guess_cap)
     edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 3]
     full_mask = (1 << n) - 1
     for i in range(1, n // 3 + 1):
@@ -203,7 +263,7 @@ def _nrc4_worker(*args) -> Optional[list[int]]:
 
 def nrc4(
     h: Hypergraph,
-    node_cap: int = DEFAULT_SEARCH_CAP,
+    guess_cap: int = DEFAULT_SEARCH_CAP,
     parallel: bool = False,
     workers: Optional[int] = None,
 ) -> NrcOutcome:
@@ -212,17 +272,16 @@ def nrc4(
     Sequential mode returns the lexicographically first witness in the order
     of the module docstring (|A| <= |B|, min A < min B on ties); parallel
     mode returns any witness, and a shared stop flag then ends the other
-    workers' scans.  Both give the same existence verdict.
+    workers' scans.  Both give the same existence verdict.  A search of
+    fewer than POOL_MIN_GUESSES guesses runs in-process even when parallel.
     """
     n = h.node_count
     if n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 nodes")
-    if n > node_cap:
-        raise SizeLimitError(
-            f"4-NRC search refused: {n} nodes exceeds cap {node_cap}"
-        )
+    guesses = nrc4_guesses(n)
+    _announce(4, n, guesses, guess_cap)
     edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 4]
-    if parallel:
+    if parallel and guesses >= POOL_MIN_GUESSES:
         classes = _nrc4_parallel(edge_masks, n, workers)
     else:
         classes = _nrc4_scan(edge_masks, n)
@@ -257,7 +316,7 @@ def _nrc4_parallel(
 def nrc(
     h: Hypergraph,
     r: int,
-    node_cap: int = DEFAULT_SEARCH_CAP,
+    guess_cap: int = DEFAULT_SEARCH_CAP,
     parallel: bool = False,
 ) -> NrcOutcome:
     """Dispatch to the r-specific solver, trying the non-neighbor fast path first."""
@@ -273,5 +332,5 @@ def nrc(
     if witness is not None:
         return NrcOutcome(witness, RULE_NON_NEIGHBOR)
     if r == 3:
-        return nrc3(h)
-    return nrc4(h, node_cap=node_cap, parallel=parallel)
+        return nrc3(h, guess_cap)
+    return nrc4(h, guess_cap, parallel)

@@ -2,12 +2,14 @@
 
 A pattern is decisive iff its coverage hypergraph has no no-rainbow
 4-coloring.  ``decide`` runs cheap certificates first (full locus; uncovered
-triple and rooted case, both read off the kernel it builds once; quadruple
-lower bound) and then searches the kernel for a no-rainbow 4-coloring.  Fewer
-colors are never searched: once every triple is covered, a 2- or 3-coloring
-has one taxon of each color inside a common locus, so it is rainbow.  Every
-non-decisive verdict carries a four-block partition witness that is re-checked
-before being returned.
+triple and rooted case, both read off the kernel it builds once) and then
+searches the kernel for a no-rainbow 4-coloring, unless an exhaustive search
+would exceed the guess budget.  No quadruple count runs here: its bound only
+confirms a witness the search finds anyway, and ``decisive bound`` reports
+it.  Fewer colors are never searched: once every triple is covered, a 2- or
+3-coloring has one taxon of each color inside a common locus, so it is
+rainbow.  Every non-decisive verdict carries a four-block partition witness
+that is re-checked before being returned.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from . import bounds, oracle, reduction
+from . import oracle, reduction
 from .nrc import DEFAULT_SEARCH_CAP, non_neighbor_coloring, nrc4
 from .core import (
     Coloring,
@@ -33,7 +35,6 @@ DECIDED_TRIVIAL_SMALL = "trivial-small-n"
 DECIDED_FULL_LOCUS = "full-locus"
 DECIDED_TRIPLE_GAP = "triple-gap"
 DECIDED_ROOTED = "rooted"
-DECIDED_BOUND_SEARCH = "quadruple-bound+search"
 DECIDED_FPT = "fpt"
 DECIDED_DIRECT = "direct-search"
 DECIDED_ORACLE = "oracle"
@@ -97,7 +98,9 @@ def decide(
     Strategy "auto" runs the screens in cost order, then searches the kernel:
     the verdict reads "fpt" when duplicate rows exist, "direct-search" when
     the kernel is the input itself.  The other strategies force one engine:
-    "direct", "fpt", or "oracle".
+    "direct", "fpt", or "oracle".  ``search_cap`` is the guess budget of the
+    search (see ``nrc.nrc4_guesses``); a search over it raises
+    SizeLimitError before it starts.
     """
     if strategy not in ("auto", "direct", "fpt", "oracle"):
         raise InvalidInstanceError(f"unknown strategy {strategy!r}")
@@ -144,19 +147,11 @@ def decide(
     if (1 << pattern.k) - 1 in ri.matrix.rows:
         return Verdict(True, None, DECIDED_ROOTED, stats())
 
-    bound_flags = bounds.lower_bound_screen(pattern)
-
     outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
     engine = DECIDED_FPT if ri.spares else DECIDED_DIRECT
     if outcome.found:
-        tag = DECIDED_BOUND_SEARCH if bound_flags else engine
         return _non_decisive(
-            pattern, outcome.witness, tag, stats(rule=outcome.rule)
-        )
-    if bound_flags:
-        raise DecisiveError(
-            "internal error: quadruple bound proves non-decisiveness but the "
-            "search found no witness"
+            pattern, outcome.witness, engine, stats(rule=outcome.rule)
         )
     return Verdict(True, None, engine, stats(rule=outcome.rule))
 

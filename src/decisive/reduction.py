@@ -16,14 +16,16 @@ from functools import cached_property
 from typing import Optional
 
 from .core import Coloring, CoveragePattern, Hypergraph, uncovered_set
-from .errors import InvalidInstanceError, SizeLimitError
+from .errors import InvalidInstanceError
 from .nrc import (
     DEFAULT_SEARCH_CAP,
     RULE_EXHAUSTED,
     RULE_NON_NEIGHBOR,
     NrcOutcome,
+    check_budget,
     non_neighbor_coloring,
     nrc,
+    nrc4_guesses,
 )
 
 
@@ -131,21 +133,23 @@ def lift_coloring(ri: ReducedInstance, reduced_coloring: Coloring) -> Coloring:
 
 def kernel_nrc4(
     ri: ReducedInstance,
-    node_cap: int = DEFAULT_SEARCH_CAP,
+    guess_cap: int = DEFAULT_SEARCH_CAP,
     parallel: bool = False,
 ) -> NrcOutcome:
     """4-NRC of the source by an r = 4 search on its kernel, the witness lifted
     to the source taxa.  Exact once every triple is covered: two copies colored
     apart would share the locus covering one of them and a taxon of each other
-    color, and make it rainbow."""
+    color, and make it rainbow.  The search is refused before it starts when
+    an exhaustive one would make more than ``guess_cap`` guesses."""
     if ri.n_reduced < 4:
         return NrcOutcome(None, RULE_EXHAUSTED)
-    if ri.n_reduced > node_cap:
-        raise SizeLimitError(
-            f"4-NRC search refused: the kernel of {ri.source.n} taxa has "
-            f"{ri.n_reduced} rows, and {ri.n_reduced} nodes exceeds cap {node_cap}"
-        )
-    outcome = nrc(ri.hypergraph, 4, node_cap=node_cap, parallel=parallel)
+    check_budget(
+        4,
+        nrc4_guesses(ri.n_reduced),
+        guess_cap,
+        f"the kernel of {ri.source.n} taxa has {ri.n_reduced} rows",
+    )
+    outcome = nrc(ri.hypergraph, 4, guess_cap, parallel)
     if outcome.found:
         return NrcOutcome(lift_coloring(ri, outcome.witness), outcome.rule)
     return outcome
@@ -153,7 +157,7 @@ def kernel_nrc4(
 
 def fpt_nrc4(
     pattern: CoveragePattern,
-    node_cap: int = DEFAULT_SEARCH_CAP,
+    guess_cap: int = DEFAULT_SEARCH_CAP,
     parallel: bool = False,
 ) -> NrcOutcome:
     """Decide 4-NRC of H(S) through the kernel.
@@ -167,4 +171,4 @@ def fpt_nrc4(
     witness = zero_and_screen(ri)
     if witness is not None:
         return NrcOutcome(witness, RULE_NON_NEIGHBOR)
-    return kernel_nrc4(ri, node_cap, parallel)
+    return kernel_nrc4(ri, guess_cap, parallel)

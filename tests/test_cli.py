@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from importlib import resources
 
 import jsonschema
@@ -167,7 +168,7 @@ class TestCheck:
 
     def test_search_past_the_cap_exit_three(self, tmp_path, capsys, schema):
         # locus j drops the taxa i = j mod 22 and one random taxon: every
-        # triple is covered and the kernel has 35 rows, one over the cap
+        # triple is covered and the kernel has 35 rows, far over the budget
         rng = random.Random(0)
         loci = []
         for j in range(22):
@@ -183,10 +184,36 @@ class TestCheck:
         assert code == EXIT_CAP_EXCEEDED
         assert report["error"]["type"] == "size-limit"
         message = report["error"]["message"]
-        assert "35 nodes exceeds cap 34" in message
+        assert "255980907171076 guesses, over the budget of 10000000" in message
         # the input is already the kernel: name it, and give no reduce advice
         assert "kernel of 40 taxa has 35 rows" in message
         assert "reduce" not in message
+        jsonschema.validate(report, schema)
+
+    def test_kernel_over_the_budget_refused_at_once(self, tmp_path, capsys, schema):
+        # taxon i is in group i mod 10; locus j drops group j mod 10, and
+        # loci 10..20 also drop taxon (j + 11) mod 30 of another group: 10
+        # group rows plus 11 rows of the dropped taxa, every triple covered
+        loci = []
+        for j in range(21):
+            members = {i for i in range(30) if i % 10 != j % 10}
+            if j >= 10:
+                members.discard((j + 11) % 30)
+            loci.append((f"L{j}", members))
+        p = CoveragePattern.from_sets([f"t{i}" for i in range(30)], loci)
+        f = tmp_path / "p.csv"
+        f.write_text(pattern_to_matrix_csv(p))
+        start = time.perf_counter()
+        code, report = run_cli(
+            capsys, "check", "--input", str(f), "--format", "matrix-csv"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CAP_EXCEEDED
+        assert report["error"]["message"] == (
+            "4-NRC search refused: the kernel of 30 taxa has 21 rows; an "
+            "exhaustive search makes 139741980 guesses, over the budget of "
+            "10000000"
+        )
         jsonschema.validate(report, schema)
 
     def test_report_to_file(self, tmp_path, capsys):

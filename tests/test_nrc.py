@@ -1,5 +1,7 @@
 """Exact no-rainbow solvers against the oracle."""
 
+import importlib
+import logging
 import multiprocessing
 import random
 import time
@@ -12,6 +14,8 @@ from decisive.core import Coloring, Hypergraph, verify_no_rainbow
 from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
     _nrc4_scan,
+    DEFAULT_SEARCH_CAP,
+    POOL_MIN_GUESSES,
     RULE_COMPONENT_SPLIT,
     RULE_EXHAUSTED,
     RULE_NON_NEIGHBOR,
@@ -20,9 +24,14 @@ from decisive.nrc import (
     nrc,
     nrc2,
     nrc3,
+    nrc3_guesses,
     nrc4,
+    nrc4_guesses,
 )
 from decisive.oracle import brute_force_nrc
+
+# the package exports a function named nrc, which hides the module attribute
+nrc_module = importlib.import_module("decisive.nrc")
 
 
 def planted(rng: random.Random, sizes: tuple[int, ...]) -> Hypergraph:
@@ -192,6 +201,91 @@ class TestNrc4:
             assert seq.found == par.found
             if par.found:
                 assert verify_no_rainbow(h, par.witness)
+
+
+class TestGuessBudget:
+    @pytest.fixture
+    def completions(self, monkeypatch):
+        """Counts the calls of the completion helper: one per guess."""
+        calls = [0]
+        complete = nrc_module._complete
+
+        def counted(*args):
+            calls[0] += 1
+            return complete(*args)
+
+        monkeypatch.setattr(nrc_module, "_complete", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n,guesses",
+        [(8, 406), (9, 666), (10, 1875), (11, 7480), (12, 21351), (13, 42406)],
+    )
+    def test_nrc4_count_equals_exhaustive_scan(self, completions, n, guesses):
+        from decisive.bounds import star_hypergraph
+
+        assert nrc4_guesses(n) == guesses
+        assert not nrc4(star_hypergraph(n, 4)).found
+        assert completions[0] == guesses
+
+    @pytest.mark.parametrize(
+        "n,guesses", [(6, 21), (7, 28), (8, 36), (9, 129), (10, 175)]
+    )
+    def test_nrc3_count_equals_exhaustive_scan(self, completions, n, guesses):
+        h = Hypergraph(n, tuple(combinations(range(n), 3)))
+        assert nrc3_guesses(n) == guesses
+        assert not nrc3(h).found
+        assert completions[0] == guesses
+
+    def test_default_budget_admits_18_nodes_and_refuses_19(self):
+        assert nrc4_guesses(18) == 6492147 <= DEFAULT_SEARCH_CAP
+        assert nrc4_guesses(19) == 22737756 > DEFAULT_SEARCH_CAP
+        assert nrc3_guesses(27) <= DEFAULT_SEARCH_CAP < nrc3_guesses(28)
+
+    def test_over_budget_refused_before_the_search(self, completions):
+        # the first guess would complete: only the count can refuse these
+        with pytest.raises(SizeLimitError) as err:
+            nrc4(Hypergraph(19, ((0, 1, 2, 3),)))
+        assert str(err.value) == (
+            "4-NRC search refused: the hypergraph has 19 nodes; an exhaustive "
+            "search makes 22737756 guesses, over the budget of 10000000"
+        )
+        with pytest.raises(SizeLimitError, match="3-NRC search refused"):
+            nrc3(Hypergraph(28, ((0, 1, 2),)))
+        with pytest.raises(SizeLimitError, match="21 guesses, over the budget of 20"):
+            nrc(Hypergraph(6, tuple(combinations(range(6), 3))), 3, guess_cap=20)
+        assert completions[0] == 0
+        assert nrc4(Hypergraph(18, ((0, 1, 2, 3),))).found
+        assert nrc3(Hypergraph(27, ((0, 1, 2),))).found
+
+    def test_search_logs_its_estimate(self, caplog):
+        from decisive.bounds import star_hypergraph
+
+        caplog.set_level(logging.DEBUG, logger="decisive.nrc")
+        nrc4(star_hypergraph(9, 4))
+        nrc3(Hypergraph(6, ((0, 1, 2),)), guess_cap=100)
+        assert [r.getMessage() for r in caplog.records] == [
+            "4-NRC search: 9 nodes, at most 666 guesses, budget 10000000",
+            "3-NRC search: 6 nodes, at most 21 guesses, budget 100",
+        ]
+        assert all(
+            r.name == "decisive.nrc" and r.levelno == logging.DEBUG
+            for r in caplog.records
+        )
+
+    def test_short_parallel_search_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(nrc_module, "ProcessPoolExecutor", no_pool)
+        h = planted(random.Random(1), (2, 2, 3, 3))
+        assert nrc4_guesses(h.node_count) < POOL_MIN_GUESSES
+        out = nrc4(h, parallel=True, workers=2)
+        assert out == nrc4(h) and verify_no_rainbow(h, out.witness)
+        big = planted(random.Random(1), (2, 3, 3, 3))
+        assert nrc4_guesses(big.node_count) >= POOL_MIN_GUESSES
+        with pytest.raises(AssertionError, match="a pool was started"):
+            nrc4(big, parallel=True, workers=2)
 
 
 class TestDispatcher:

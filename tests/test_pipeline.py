@@ -1,14 +1,17 @@
 """The decision pipeline and the greedy decisive-subset heuristic."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import duplicated_pattern, random_pattern
+from decisive.bounds import lower_bound_screen
 from decisive.core import Coloring, CoveragePattern, build_hypergraph, verify_no_rainbow
-from decisive.errors import InvalidInstanceError
+from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.oracle import brute_force_nrc
 from decisive.pipeline import (
+    DECIDED_FPT,
     DECIDED_FULL_LOCUS,
     DECIDED_ROOTED,
     DECIDED_TRIPLE_GAP,
@@ -124,6 +127,78 @@ class TestDecideEngines:
     def test_stats_have_timing(self):
         v = decide(make_pattern([[0, 1, 2, 3]], 4))
         assert v.stats["elapsed_s"] >= 0
+
+
+class TestWithoutQuadrupleBound:
+    def test_many_loci_small_kernel_decided(self):
+        # taxon i is in group i mod 12; locus j drops group j mod 12, and
+        # loci 12..21 one more group.  Loci 0..11 each drop one group, so a
+        # no-rainbow coloring would need, for each of them, a color found
+        # only in its group: twelve colors, so the pattern is decisive.  The
+        # kernel has 12 rows, one per group.
+        n, groups = 112, 12
+        loci = []
+        for j in range(22):
+            dropped = {j % groups}
+            if j >= groups:
+                dropped.add((j + 1 + j // groups) % groups)
+            loci.append([i for i in range(n) if i % groups not in dropped])
+        p = make_pattern(loci, n)
+        with pytest.raises(SizeLimitError):
+            lower_bound_screen(p)  # too many quadruples to enumerate
+        v = decide(p)
+        assert v.decisive and v.witness is None
+        assert v.decided_by == DECIDED_FPT
+
+    @staticmethod
+    def triples_and_more(rng: random.Random) -> CoveragePattern:
+        """Most triples as loci, plus a few larger loci: many triples are
+        covered and few quadruples."""
+        n = rng.randint(4, 10)
+        loci = [list(t) for t in combinations(range(n), 3) if rng.random() < 0.9]
+        loci += [
+            rng.sample(range(n), rng.randint(4, min(6, n)))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        return make_pattern(loci, n)
+
+    @staticmethod
+    def planted(rng: random.Random) -> CoveragePattern:
+        """Loci that each miss a color of a hidden 4-coloring."""
+        n = rng.randint(4, 10)
+        colors = [0, 1, 2, 3] + [rng.randrange(4) for _ in range(n - 4)]
+        rng.shuffle(colors)
+        loci = []
+        for _ in range(rng.randint(1, 3 * n)):
+            miss = rng.randrange(4)
+            rest = [v for v in range(n) if colors[v] != miss]
+            loci.append(rng.sample(rest, rng.randint(min(3, len(rest)), len(rest))))
+        return make_pattern(loci, n)
+
+    def test_bound_implies_a_verified_witness(self):
+        # decide runs no quadruple bound: wherever the bound proves the
+        # pattern non-decisive, decide must return a verified witness
+        rng = random.Random(19)
+        generators = [
+            lambda: random_pattern(rng, n_range=(4, 10), k_range=(1, 8),
+                                   locus_size_range=(3, 7)),
+            lambda: self.triples_and_more(rng),
+            lambda: self.planted(rng),
+        ]
+        searched = 0
+        for generate in generators:
+            for _ in range(400):
+                p = generate()
+                # n <= 10: direct enumeration is cheap and equals the
+                # inclusion-exclusion count
+                if not lower_bound_screen(p, ie_max_loci=0):
+                    continue
+                v = decide(p)
+                assert not v.decisive
+                w = coloring_from_partition(v.witness, p.n)
+                assert verify_no_rainbow(build_hypergraph(p), w)
+                searched += v.decided_by != DECIDED_TRIPLE_GAP
+        assert searched >= 20  # the kernel search, not the triple gap
 
 
 class TestDecisiveSubset:
