@@ -155,10 +155,10 @@ def rooted_decide(pattern: CoveragePattern) -> Optional[bool]:
     """
     if pattern.n < 4:
         raise InvalidInstanceError("rooted test needs at least 4 taxa")
-    if common_taxon(pattern) is None:
+    rows = incidence_matrix(pattern).rows
+    if _full_row(rows, pattern.k) is None:
         return None
-    ok, _ = triple_coverage(pattern)
-    return ok
+    return uncovered_set(rows, 3) is None
 
 
 def bound_report(pattern: CoveragePattern) -> BoundReport:

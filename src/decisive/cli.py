@@ -41,27 +41,36 @@ def parse_pattern_text(text: str, fmt: str) -> CoveragePattern:
     raise InputFormatError(f"unknown pattern format {fmt!r}")
 
 
-def parse_pattern_file(path: str, fmt: str) -> CoveragePattern:
-    """Read a coverage pattern from ``path`` in the named format."""
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    return parse_pattern_text(text, fmt)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
+def parse_pattern_file(path: str, fmt: str) -> CoveragePattern:
+    """Read a coverage pattern from ``path`` in the named format."""
+    return parse_pattern_text(_read_text(path), fmt)
 
 
 def _parse_matrix_csv(text: str) -> CoveragePattern:
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InputFormatError("line 1: empty matrix file") from None
-    locus_names = [cell.strip() for cell in header[1:]]
+        rows = list(reader)
+    except csv.Error as exc:  # an oversized field or a stray carriage return
+        raise InputFormatError(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise InputFormatError("line 1: empty matrix file")
+    locus_names = [cell.strip() for cell in rows[0][1:]]
     if not locus_names:
         raise InputFormatError("line 1: header names no loci")
     taxa: list[str] = []
     members: list[list[int]] = [[] for _ in locus_names]
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(locus_names) + 1:
@@ -116,9 +125,17 @@ def _parse_locus_list(text: str) -> CoveragePattern:
 
 
 def pattern_to_matrix_csv(pattern: CoveragePattern) -> str:
+    header = ["taxon"] + [name for name, _ in pattern.loci]
+    # the writer quotes only the characters of its line terminator, and the
+    # reader ends a row at a bare carriage return too
+    raw_cr = any("\r" in name for name in header + list(pattern.taxa))
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["taxon"] + [name for name, _ in pattern.loci])
+    writer = csv.writer(
+        out,
+        lineterminator="\n",
+        quoting=csv.QUOTE_ALL if raw_cr else csv.QUOTE_MINIMAL,
+    )
+    writer.writerow(header)
     rows = reduction.incidence_matrix(pattern).rows
     for i, taxon in enumerate(pattern.taxa):
         writer.writerow([taxon] + [(rows[i] >> j) & 1 for j in range(pattern.k)])
@@ -136,13 +153,9 @@ def pattern_to_locus_list(pattern: CoveragePattern) -> str:
 def parse_hypergraph_file(path: str) -> Hypergraph:
     """Raw hypergraph format: a ``nodes N`` line, then one edge per line as
     space-separated 0-based node indices."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
     node_count = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -150,7 +163,10 @@ def parse_hypergraph_file(path: str) -> Hypergraph:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "nodes" or not parts[1].isdecimal():
                 raise InputFormatError(f"line {lineno}: expected 'nodes N'")
-            node_count = int(parts[1])
+            try:
+                node_count = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise InputFormatError(f"line {lineno}: node count too long") from None
             continue
         try:
             edges.append(tuple(int(tok) for tok in line.split()))
@@ -201,13 +217,7 @@ def _emit_report(report: dict, args) -> None:
 
 def _cmd_check(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
-    verdict = pipeline.decide(
-        pattern,
-        strategy=args.strategy,
-        oracle_cap=args.oracle_cap,
-        search_cap=args.search_cap,
-        parallel=args.parallel,
-    )
+    verdict = pipeline.decide(pattern, args.search_cap, args.parallel)
     report = _base_report("check")
     report.update(
         verdict={
@@ -320,30 +330,16 @@ def _cmd_emit_ilp(args) -> tuple[int, dict]:
 
 def _cmd_emit_cnf(args) -> tuple[int, dict]:
     h, _pattern = _load_hypergraph(args)
-    report = _base_report("emit-cnf")
-    if args.surjectivity == "aux":
-        formula = emit.emit_cnf(h, "aux")
-        if args.out:
-            Path(args.out).write_text(formula.to_dimacs(), encoding="utf-8")
-        else:
-            sys.stdout.write(formula.to_dimacs())
-        report.update(
-            mode="aux",
-            variables=formula.num_vars,
-            clauses=len(formula.clauses),
-            out=args.out,
-        )
+    formula = emit.emit_cnf(h)
+    text = formula.to_dimacs()
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        formulas = emit.emit_cnf(h, "enumerate")
-        if not args.out:
-            raise InputFormatError("enumerate mode needs --out DIRECTORY")
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for idx, formula in enumerate(formulas):
-            (outdir / f"formula_{idx:04d}.cnf").write_text(
-                formula.to_dimacs(), encoding="utf-8"
-            )
-        report.update(mode="enumerate", formulas=len(formulas), out=args.out)
+        sys.stdout.write(text)
+    report = _base_report("emit-cnf")
+    report.update(
+        variables=formula.num_vars, clauses=len(formula.clauses), out=args.out
+    )
     return EXIT_NO_WITNESS, report
 
 
@@ -351,13 +347,7 @@ def _cmd_subset(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
 
     def decider(p):
-        return pipeline.decide(
-            p,
-            strategy=args.strategy,
-            oracle_cap=args.oracle_cap,
-            search_cap=args.search_cap,
-            parallel=args.parallel,
-        )
+        return pipeline.decide(p, args.search_cap, args.parallel)
 
     trace = pipeline.decisive_subset(pattern, decider)
     report = _base_report("subset")
@@ -375,7 +365,6 @@ def _cmd_subset(args) -> tuple[int, dict]:
 
 
 _SOLVER_FLAGS = {
-    "--strategy": {"choices": ("auto", "direct", "fpt", "oracle"), "default": "auto"},
     "--oracle-cap": {"type": int, "default": oracle.DEFAULT_NODE_CAP},
     "--search-cap": {
         "type": int,
@@ -386,7 +375,6 @@ _SOLVER_FLAGS = {
     "--parallel": {"action": "store_true"},
 }
 _SEARCH_FLAGS = ("--search-cap", "--parallel")
-_DECIDE_FLAGS = ("--strategy", "--oracle-cap") + _SEARCH_FLAGS
 
 
 def _add_common(
@@ -416,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_formats = ("matrix-csv", "locus-list", "edge-list")
 
     p_check = sub.add_parser("check", help="decide decisiveness")
-    _add_common(p_check, pattern_formats, _DECIDE_FLAGS)
+    _add_common(p_check, pattern_formats, _SEARCH_FLAGS)
     p_nrc = sub.add_parser("nrc", help="run a raw no-rainbow search")
     p_nrc.add_argument("--r", type=int, choices=(2, 3, 4), default=4)
     _add_common(p_nrc, graph_formats, _SEARCH_FLAGS)
@@ -426,11 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("reduce", help="kernelize and report"), pattern_formats)
     _add_common(sub.add_parser("bound", help="coverage bound report"), pattern_formats)
     _add_common(sub.add_parser("emit-ilp", help="write the LP model"), pattern_formats)
-    p_cnf = sub.add_parser("emit-cnf", help="write the DIMACS model")
-    p_cnf.add_argument("--surjectivity", choices=("aux", "enumerate"), default="aux")
-    _add_common(p_cnf, graph_formats)
+    _add_common(sub.add_parser("emit-cnf", help="write the DIMACS model"), graph_formats)
     p_subset = sub.add_parser("subset", help="greedy decisive subset")
-    _add_common(p_subset, pattern_formats, _DECIDE_FLAGS)
+    _add_common(p_subset, pattern_formats, _SEARCH_FLAGS)
     return parser
 
 

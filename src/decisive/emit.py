@@ -4,20 +4,18 @@ No solver is bundled; both emitters come with self-contained evaluators so
 witnesses can be checked without external tools.  The ILP is feasible iff the
 pattern is non-decisive.  The CNF encodes node colors as two bits per node
 (00..11 for colors 1..4) and is satisfiable iff a no-rainbow 4-coloring
-exists; surjectivity is either encoded with indicator auxiliaries ("aux") or
-by emitting one formula per fixed color-representative triple ("enumerate").
+exists.  It has one encoding: each edge of four or more nodes gets one
+"color q is absent" indicator per color, and surjectivity one "node i has
+color q" indicator per node and color.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
 from typing import Mapping, Optional
 
 from .core import Coloring, CoveragePattern, Hypergraph
-from .errors import InputFormatError, InvalidInstanceError, SizeLimitError
-
-ENUMERATE_NODE_CAP = 12
+from .errors import InputFormatError, InvalidInstanceError
 
 
 # --------------------------------------------------------------------------
@@ -163,9 +161,8 @@ class CnfFormula:
     """Clause list plus a legend giving every variable a semantic meaning.
 
     Legend entries: ("hi", i) and ("lo", i) are the color bits of node i
-    (color = 1 + 2*hi + lo); ("pair_eq", e, u, v) means nodes u and v of edge
-    e share a color; ("color_absent", e, q) means color q is unused on edge e;
-    ("node_color", i, q) means node i has color q.
+    (color = 1 + 2*hi + lo); ("color_absent", e, q) means color q is unused
+    on edge e; ("node_color", i, q) means node i has color q.
     """
 
     node_count: int
@@ -185,129 +182,54 @@ class CnfFormula:
         return "\n".join(lines) + "\n"
 
 
-def _color_bits(q: int) -> tuple[int, int]:
-    return (q - 1) >> 1, (q - 1) & 1
-
-
-def _bit_literal(var: int, bit: int) -> int:
-    return var if bit else -var
-
-
-class _CnfBuilder:
-    def __init__(self, h: Hypergraph) -> None:
-        self.h = h
-        self.legend: dict[int, tuple] = {}
-        self.clauses: list[tuple[int, ...]] = []
-        self.num_vars = 0
-        self.hi: list[int] = []
-        self.lo: list[int] = []
-        for i in range(h.node_count):
-            self.hi.append(self.new_var(("hi", i)))
-            self.lo.append(self.new_var(("lo", i)))
-
-    def new_var(self, meaning: tuple) -> int:
-        self.num_vars += 1
-        self.legend[self.num_vars] = meaning
-        return self.num_vars
-
-    def add(self, *literals: int) -> None:
-        self.clauses.append(tuple(literals))
-
-    def node_color_literals(self, i: int, q: int) -> tuple[int, int]:
-        """Two literals whose conjunction says node i has color q."""
-        hi_bit, lo_bit = _color_bits(q)
-        return _bit_literal(self.hi[i], hi_bit), _bit_literal(self.lo[i], lo_bit)
-
-    def add_edge_constraints(self) -> list[tuple[int, ...]]:
-        """No edge sees all four colors; edges smaller than 4 are skipped."""
-        emitted = []
-        for edge in self.h.edges:
-            if len(edge) < 4:
-                continue
-            e_idx = len(emitted)  # index into the emitted edge list
-            emitted.append(edge)
-            if len(edge) == 4:
-                pair_vars = []
-                for u, v in combinations(edge, 2):
-                    a = self.new_var(("pair_eq", e_idx, u, v))
-                    pair_vars.append(a)
-                    self.add(-a, -self.hi[u], self.hi[v])
-                    self.add(-a, self.hi[u], -self.hi[v])
-                    self.add(-a, -self.lo[u], self.lo[v])
-                    self.add(-a, self.lo[u], -self.lo[v])
-                self.add(*pair_vars)
-            else:
-                # wider edges: some color is absent from the whole edge
-                absent_vars = []
-                for q in range(1, 5):
-                    a = self.new_var(("color_absent", e_idx, q))
-                    absent_vars.append(a)
-                    for v in edge:
-                        l1, l2 = self.node_color_literals(v, q)
-                        self.add(-a, -l1, -l2)
-                self.add(*absent_vars)
-        return emitted
-
-    def add_surjectivity_aux(self) -> None:
-        by_color: dict[int, list[int]] = {q: [] for q in range(1, 5)}
-        for i in range(self.h.node_count):
-            for q in range(1, 5):
-                s = self.new_var(("node_color", i, q))
-                by_color[q].append(s)
-                l1, l2 = self.node_color_literals(i, q)
-                self.add(-s, l1)
-                self.add(-s, l2)
-        for q in range(1, 5):
-            self.add(*by_color[q])
-
-    def fix_node_color(self, i: int, q: int) -> None:
-        l1, l2 = self.node_color_literals(i, q)
-        self.add(l1)
-        self.add(l2)
-
-    def build(self, edges: list[tuple[int, ...]]) -> CnfFormula:
-        return CnfFormula(
-            node_count=self.h.node_count,
-            num_vars=self.num_vars,
-            clauses=tuple(self.clauses),
-            legend=self.legend,
-            edges=tuple(edges),
-        )
-
-
-def emit_cnf(h: Hypergraph, surjectivity_mode: str = "aux"):
+def emit_cnf(h: Hypergraph) -> CnfFormula:
     """CNF whose satisfiability is equivalent to 4-NRC of ``h``.
 
-    Mode "aux" returns one CnfFormula with surjectivity auxiliaries; mode
-    "enumerate" returns a list of formulas, one per choice of representative
-    nodes fixed to colors 2, 3, 4 (node 0 is fixed to color 1), and the
-    instance has a no-rainbow 4-coloring iff some formula is satisfiable.
+    Each edge of four or more nodes gets four ``color_absent`` indicators, one
+    of which must hold; edges smaller than 4 are skipped, since they can never
+    be rainbow.  Each color must be some node's ``node_color``.  An indicator
+    only implies its meaning, which is all satisfiability needs.
     """
     if h.node_count < 4:
         raise InvalidInstanceError("the CNF encoding needs at least 4 nodes")
-    if surjectivity_mode == "aux":
-        builder = _CnfBuilder(h)
-        edges = builder.add_edge_constraints()
-        builder.add_surjectivity_aux()
-        return builder.build(edges)
-    if surjectivity_mode == "enumerate":
-        if h.node_count > ENUMERATE_NODE_CAP:
-            raise SizeLimitError(
-                f"enumerate mode caps at {ENUMERATE_NODE_CAP} nodes, "
-                f"got {h.node_count}"
-            )
-        formulas = []
-        others = range(1, h.node_count)
-        for u, w, t in permutations(others, 3):
-            builder = _CnfBuilder(h)
-            edges = builder.add_edge_constraints()
-            builder.fix_node_color(0, 1)
-            builder.fix_node_color(u, 2)
-            builder.fix_node_color(w, 3)
-            builder.fix_node_color(t, 4)
-            formulas.append(builder.build(edges))
-        return formulas
-    raise InputFormatError(f"unknown surjectivity mode {surjectivity_mode!r}")
+    legend: dict[int, tuple] = {}
+    clauses: list[tuple[int, ...]] = []
+
+    def new_var(*meaning) -> int:
+        legend[len(legend) + 1] = meaning
+        return len(legend)
+
+    bits = [(new_var("hi", i), new_var("lo", i)) for i in range(h.node_count)]
+
+    def has_color(i: int, q: int) -> tuple[int, int]:
+        """Two literals whose conjunction says node i has color q."""
+        hi, lo = bits[i]
+        return (hi if (q - 1) >> 1 else -hi), (lo if (q - 1) & 1 else -lo)
+
+    edges = tuple(edge for edge in h.edges if len(edge) >= 4)
+    for e_idx, edge in enumerate(edges):
+        absent = []
+        for q in range(1, 5):
+            a = new_var("color_absent", e_idx, q)
+            absent.append(a)
+            for v in edge:
+                l1, l2 = has_color(v, q)
+                clauses.append((-a, -l1, -l2))
+        clauses.append(tuple(absent))
+    by_color: dict[int, list[int]] = {q: [] for q in range(1, 5)}
+    for i in range(h.node_count):
+        for q in range(1, 5):
+            s = new_var("node_color", i, q)
+            by_color[q].append(s)
+            clauses.extend((-s, lit) for lit in has_color(i, q))
+    clauses.extend(tuple(by_color[q]) for q in range(1, 5))
+    return CnfFormula(
+        node_count=h.node_count,
+        num_vars=len(legend),
+        clauses=tuple(clauses),
+        legend=legend,
+        edges=edges,
+    )
 
 
 def cnf_assignment_from_coloring(
@@ -322,9 +244,6 @@ def cnf_assignment_from_coloring(
             values[var] = bool((c[meaning[1]] - 1) >> 1 & 1)
         elif kind == "lo":
             values[var] = bool((c[meaning[1]] - 1) & 1)
-        elif kind == "pair_eq":
-            _e, u, v = meaning[1:]
-            values[var] = c[u] == c[v]
         elif kind == "color_absent":
             e_idx, q = meaning[1:]
             values[var] = all(c[v] != q for v in formula.edges[e_idx])

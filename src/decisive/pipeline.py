@@ -1,15 +1,17 @@
 """The decisiveness decision procedure and the decisive-subset heuristic.
 
 A pattern is decisive iff its coverage hypergraph has no no-rainbow
-4-coloring.  ``decide`` runs cheap certificates first (full locus; uncovered
-triple and rooted case, both read off the kernel it builds once) and then
-searches the kernel for a no-rainbow 4-coloring, unless an exhaustive search
-would exceed the guess budget.  No quadruple count runs here: its bound only
-confirms a witness the search finds anyway, and ``decisive bound`` reports
-it.  Fewer colors are never searched: once every triple is covered, a 2- or
-3-coloring has one taxon of each color inside a common locus, so it is
-rainbow.  Every non-decisive verdict carries a four-block partition witness
-that is re-checked before being returned.
+4-coloring.  ``decide`` runs one stack: cheap certificates first (full locus;
+uncovered triple and rooted case, both read off the kernel it builds once),
+then a search of the kernel for a no-rainbow 4-coloring, unless an exhaustive
+search would exceed the guess budget.  The other engines (``nrc.nrc4`` on the
+raw hypergraph, ``reduction.fpt_nrc4``, ``oracle.brute_force_nrc``) stay
+public and are reached from ``decisive nrc`` and ``decisive oracle``.  No
+quadruple count runs here: its bound only confirms a witness the search finds
+anyway, and ``decisive bound`` reports it.  Fewer colors are never searched:
+once every triple is covered, a 2- or 3-coloring has one taxon of each color
+inside a common locus, so it is rainbow.  Every non-decisive verdict carries a
+four-block partition witness that is re-checked before being returned.
 """
 
 from __future__ import annotations
@@ -18,16 +20,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from . import oracle, reduction
-from .nrc import DEFAULT_SEARCH_CAP, non_neighbor_coloring, nrc4
-from .core import (
-    Coloring,
-    CoveragePattern,
-    build_hypergraph,
-    uncovered_set,
-    verify_no_rainbow,
-)
-from .errors import DecisiveError, InvalidInstanceError
+from . import reduction
+from .core import Coloring, CoveragePattern, build_hypergraph, verify_no_rainbow
+from .errors import DecisiveError
+from .nrc import DEFAULT_SEARCH_CAP
+
+# unused here, but perfbench/tracing.py binds pipeline.nrc4
+from .nrc import nrc4  # noqa: F401
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -37,7 +36,6 @@ DECIDED_TRIPLE_GAP = "triple-gap"
 DECIDED_ROOTED = "rooted"
 DECIDED_FPT = "fpt"
 DECIDED_DIRECT = "direct-search"
-DECIDED_ORACLE = "oracle"
 
 
 @dataclass(frozen=True)
@@ -88,22 +86,17 @@ def _non_decisive(
 
 def decide(
     pattern: CoveragePattern,
-    strategy: str = "auto",
-    oracle_cap: int = oracle.DEFAULT_NODE_CAP,
     search_cap: int = DEFAULT_SEARCH_CAP,
     parallel: bool = False,
 ) -> Verdict:
     """Decide decisiveness.
 
-    Strategy "auto" runs the screens in cost order, then searches the kernel:
-    the verdict reads "fpt" when duplicate rows exist, "direct-search" when
-    the kernel is the input itself.  The other strategies force one engine:
-    "direct", "fpt", or "oracle".  ``search_cap`` is the guess budget of the
-    search (see ``nrc.nrc4_guesses``); a search over it raises
-    SizeLimitError before it starts.
+    Runs the screens in cost order, then searches the kernel: the verdict
+    reads "fpt" when duplicate rows exist, "direct-search" when the kernel is
+    the input itself.  ``search_cap`` is the guess budget of the search (see
+    ``nrc.nrc4_guesses``); a search over it raises SizeLimitError before it
+    starts.
     """
-    if strategy not in ("auto", "direct", "fpt", "oracle"):
-        raise InvalidInstanceError(f"unknown strategy {strategy!r}")
     start = time.perf_counter()
 
     def stats(**extra) -> dict:
@@ -115,32 +108,14 @@ def decide(
     if n <= 3:
         return Verdict(True, None, DECIDED_TRIVIAL_SMALL, stats())
 
-    if strategy == "direct":
-        outcome = nrc4(build_hypergraph(pattern), search_cap, parallel)
-        if outcome.found:
-            return _non_decisive(pattern, outcome.witness, DECIDED_DIRECT, stats())
-        return Verdict(True, None, DECIDED_DIRECT, stats())
-    if strategy == "fpt":
-        outcome = reduction.fpt_nrc4(pattern, search_cap, parallel)
-        if outcome.found:
-            return _non_decisive(pattern, outcome.witness, DECIDED_FPT, stats())
-        return Verdict(True, None, DECIDED_FPT, stats())
-    if strategy == "oracle":
-        witness = oracle.brute_force_nrc(build_hypergraph(pattern), 4, oracle_cap)
-        if witness is not None:
-            return _non_decisive(pattern, witness, DECIDED_ORACLE, stats())
-        return Verdict(True, None, DECIDED_ORACLE, stats())
-
-    # auto: screens in cost order
     full = tuple(range(n))
     if any(members == full for _name, members in pattern.loci):
         return Verdict(True, None, DECIDED_FULL_LOCUS, stats())
 
     ri = reduction.reduce_pattern(pattern)
-    gap = uncovered_set(ri.source.rows, 3)
-    if gap is not None:
-        witness = non_neighbor_coloring(n, 4, gap)
-        return _non_decisive(pattern, witness, DECIDED_TRIPLE_GAP, stats(triple=gap))
+    witness = reduction.zero_and_screen(ri)
+    if witness is not None:
+        return _non_decisive(pattern, witness, DECIDED_TRIPLE_GAP, stats())
 
     # a taxon in every locus: with every triple covered, the rooted case is
     # decisive

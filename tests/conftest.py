@@ -73,6 +73,22 @@ def duplicated_pattern(
     return CoveragePattern.from_sets([f"t{i}" for i in range(len(rows))], loci)
 
 
+def planted_pattern(
+    rng: random.Random, n_range: tuple[int, int] = (4, 10)
+) -> CoveragePattern:
+    """Loci that each miss a color of a hidden 4-coloring: never decisive."""
+    n = rng.randint(*n_range)
+    colors = [0, 1, 2, 3] + [rng.randrange(4) for _ in range(n - 4)]
+    rng.shuffle(colors)
+    loci = []
+    for j in range(rng.randint(1, 3 * n)):
+        miss = rng.randrange(4)
+        rest = [v for v in range(n) if colors[v] != miss]
+        subset = rng.sample(rest, rng.randint(min(3, len(rest)), len(rest)))
+        loci.append((f"L{j}", subset))
+    return CoveragePattern.from_sets([f"t{i}" for i in range(n)], loci)
+
+
 def reference_no_rainbow_colorings(h: Hypergraph, r: int) -> list[Coloring]:
     """All surjective no-rainbow r-colorings by a plain nested loop."""
     out = []
@@ -109,9 +125,6 @@ def cnf_satisfiable_exhaustive(formula, n: int) -> bool:
             value_cols[var] = ((colors[:, meaning[1]] - 1) >> 1) & 1 == 1
         elif kind == "lo":
             value_cols[var] = (colors[:, meaning[1]] - 1) & 1 == 1
-        elif kind == "pair_eq":
-            _e, u, v = meaning[1:]
-            value_cols[var] = colors[:, u] == colors[:, v]
         elif kind == "color_absent":
             e_idx, q = meaning[1:]
             edge = formula.edges[e_idx]

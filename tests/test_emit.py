@@ -20,7 +20,7 @@ from decisive.emit import (
     ilp_assignment_from_coloring,
     violated_clause,
 )
-from decisive.errors import InputFormatError, InvalidInstanceError, SizeLimitError
+from decisive.errors import InputFormatError, InvalidInstanceError
 from decisive.oracle import brute_force_nrc
 
 
@@ -126,12 +126,16 @@ class TestCnf:
         assert text.endswith(" 0\n")
 
     def test_wide_edges_use_absence_encoding(self):
-        h = Hypergraph(6, ((0, 1, 2, 3, 4),))
-        f = emit_cnf(h)
-        kinds = {meaning[0] for meaning in f.legend.values()}
-        assert "color_absent" in kinds and "pair_eq" not in kinds
-        w = brute_force_nrc(h, 4)
-        assert w is not None and cnf_holds(f, w)
+        for edge in ((0, 1, 2, 3), (0, 1, 2, 3, 4)):
+            h = Hypergraph(6, (edge,))
+            f = emit_cnf(h)
+            kinds = {meaning[0] for meaning in f.legend.values()}
+            assert kinds == {"hi", "lo", "color_absent", "node_color"}
+            # two bits and four node-color indicators per node, four absence
+            # indicators for the edge
+            assert f.num_vars == 6 * 6 + 4
+            w = brute_force_nrc(h, 4)
+            assert w is not None and cnf_holds(f, w)
 
     def test_small_edges_skipped(self):
         f = emit_cnf(Hypergraph(5, ((0, 1), (1, 2, 3), (0, 1, 2, 3, 4))))
@@ -158,26 +162,6 @@ class TestCnf:
             h = random_hypergraph(rng, n_range=(4, 6), max_edges=5)
             sat = cnf_satisfiable_exhaustive(emit_cnf(h), h.node_count)
             assert sat == (brute_force_nrc(h, 4) is not None)
-
-    def test_enumerate_mode_equivalence(self):
-        rng = random.Random(15)
-        for _ in range(6):
-            h = random_hypergraph(rng, n_range=(4, 6), max_edges=4)
-            formulas = emit_cnf(h, surjectivity_mode="enumerate")
-            n = h.node_count
-            assert len(formulas) == (n - 1) * (n - 2) * (n - 3)
-            sat = any(
-                cnf_satisfiable_exhaustive(f, n) for f in formulas
-            )
-            assert sat == (brute_force_nrc(h, 4) is not None)
-
-    def test_enumerate_cap(self):
-        with pytest.raises(SizeLimitError):
-            emit_cnf(Hypergraph(13, ((0, 1, 2, 3),)), surjectivity_mode="enumerate")
-
-    def test_unknown_mode(self):
-        with pytest.raises(InputFormatError):
-            emit_cnf(Hypergraph(4, ()), surjectivity_mode="wat")
 
     def test_dimacs_byte_stable(self):
         h = Hypergraph(5, ((0, 1, 2, 3), (1, 2, 3, 4)))

@@ -5,22 +5,26 @@ from itertools import combinations
 
 import pytest
 
-from conftest import duplicated_pattern, random_pattern
+from conftest import duplicated_pattern, planted_pattern, random_pattern
 from decisive.bounds import lower_bound_screen
 from decisive.core import Coloring, CoveragePattern, build_hypergraph, verify_no_rainbow
-from decisive.errors import InvalidInstanceError, SizeLimitError
+from decisive.errors import SizeLimitError
+from decisive.nrc import nrc4
 from decisive.oracle import brute_force_nrc
 from decisive.pipeline import (
+    DECIDED_DIRECT,
     DECIDED_FPT,
     DECIDED_FULL_LOCUS,
     DECIDED_ROOTED,
     DECIDED_TRIPLE_GAP,
     DECIDED_TRIVIAL_SMALL,
+    Verdict,
     coloring_from_partition,
     decide,
     decisive_subset,
     partition_from_coloring,
 )
+from decisive.reduction import fpt_nrc4
 
 
 def make_pattern(loci: list[list[int]], n: int) -> CoveragePattern:
@@ -28,6 +32,21 @@ def make_pattern(loci: list[list[int]], n: int) -> CoveragePattern:
         [f"t{i}" for i in range(n)],
         [(f"L{j}", members) for j, members in enumerate(loci)],
     )
+
+
+def assert_engines_agree(p: CoveragePattern) -> Verdict:
+    """``decide``, ``fpt_nrc4``, ``nrc4`` and the oracle give one answer, and
+    every witness is a no-rainbow 4-coloring; returns decide's verdict."""
+    h = build_hypergraph(p)
+    decisive = brute_force_nrc(h, 4) is None
+    v = decide(p)
+    assert v.decisive == decisive
+    witnesses = [fpt_nrc4(p).witness, nrc4(h).witness]
+    assert [w is None for w in witnesses] == [decisive, decisive]
+    if not decisive:
+        witnesses.append(coloring_from_partition(v.witness, p.n))
+        assert all(verify_no_rainbow(h, w) for w in witnesses)
+    return v
 
 
 class TestPartitions:
@@ -80,42 +99,28 @@ class TestDecideScreens:
         w = coloring_from_partition(v.witness, p.n)
         assert verify_no_rainbow(build_hypergraph(p), w)
 
-    def test_unknown_strategy(self):
-        with pytest.raises(InvalidInstanceError):
-            decide(make_pattern([[0, 1, 2, 3]], 4), strategy="magic")
-
 
 class TestDecideEngines:
     def test_star_pattern_decisive_by_search(self):
         from decisive.bounds import star_hypergraph
 
-        edges = star_hypergraph(5, 4).edges
-        p = make_pattern([list(e) for e in edges], 5)
-        for strategy in ("direct", "fpt", "oracle"):
-            v = decide(p, strategy=strategy)
-            assert v.decisive, strategy
+        h = star_hypergraph(5, 4)
+        p = make_pattern([list(e) for e in h.edges], 5)
+        assert decide(p).decisive
+        assert not nrc4(h).found
+        assert not fpt_nrc4(p).found
+        assert brute_force_nrc(h, 4) is None
 
     def test_strategies_agree(self):
         rng = random.Random(16)
         for _ in range(60):
             p = random_pattern(rng, n_range=(4, 9), k_range=(1, 4))
-            verdicts = {
-                s: decide(p, strategy=s)
-                for s in ("auto", "direct", "fpt", "oracle")
-            }
-            answers = {s: v.decisive for s, v in verdicts.items()}
-            assert len(set(answers.values())) == 1, answers
-            for v in verdicts.values():
-                if not v.decisive:
-                    w = coloring_from_partition(v.witness, p.n)
-                    assert verify_no_rainbow(build_hypergraph(p), w)
+            assert_engines_agree(p)
 
     def test_duplicate_heavy_patterns(self):
         rng = random.Random(17)
         for _ in range(40):
-            p = duplicated_pattern(rng, base_n=4, k=3, copies=6)
-            auto = decide(p)
-            assert auto.decisive == decide(p, strategy="oracle").decisive
+            assert_engines_agree(duplicated_pattern(rng, base_n=4, k=3, copies=6))
 
     def test_witness_blocks_partition_taxa(self):
         p = make_pattern([[0, 1, 2], [1, 2, 3]], 4)
@@ -162,19 +167,6 @@ class TestWithoutQuadrupleBound:
         ]
         return make_pattern(loci, n)
 
-    @staticmethod
-    def planted(rng: random.Random) -> CoveragePattern:
-        """Loci that each miss a color of a hidden 4-coloring."""
-        n = rng.randint(4, 10)
-        colors = [0, 1, 2, 3] + [rng.randrange(4) for _ in range(n - 4)]
-        rng.shuffle(colors)
-        loci = []
-        for _ in range(rng.randint(1, 3 * n)):
-            miss = rng.randrange(4)
-            rest = [v for v in range(n) if colors[v] != miss]
-            loci.append(rng.sample(rest, rng.randint(min(3, len(rest)), len(rest))))
-        return make_pattern(loci, n)
-
     def test_bound_implies_a_verified_witness(self):
         # decide runs no quadruple bound: wherever the bound proves the
         # pattern non-decisive, decide must return a verified witness
@@ -183,7 +175,7 @@ class TestWithoutQuadrupleBound:
             lambda: random_pattern(rng, n_range=(4, 10), k_range=(1, 8),
                                    locus_size_range=(3, 7)),
             lambda: self.triples_and_more(rng),
-            lambda: self.planted(rng),
+            lambda: planted_pattern(rng),
         ]
         searched = 0
         for generate in generators:
@@ -199,6 +191,66 @@ class TestWithoutQuadrupleBound:
                 assert verify_no_rainbow(build_hypergraph(p), w)
                 searched += v.decided_by != DECIDED_TRIPLE_GAP
         assert searched >= 20  # the kernel search, not the triple gap
+
+
+def relabelled(p: CoveragePattern, rng: random.Random) -> CoveragePattern:
+    """p with its taxa renumbered at random and its loci reordered."""
+    new_index = list(range(p.n))
+    rng.shuffle(new_index)
+    taxa = [""] * p.n
+    for i, name in enumerate(p.taxa):
+        taxa[new_index[i]] = name
+    loci = [(name, [new_index[i] for i in members]) for name, members in p.loci]
+    rng.shuffle(loci)
+    return CoveragePattern.from_sets(taxa, loci)
+
+
+def dense_pattern(rng: random.Random, n_range: tuple[int, int]) -> CoveragePattern:
+    """Loci that each miss one to three taxa: most triples are covered, so
+    many of these patterns reach the kernel search."""
+    n = rng.randint(*n_range)
+    return random_pattern(
+        rng, n_range=(n, n), k_range=(3, 12), locus_size_range=(n - 3, n - 1)
+    )
+
+
+def with_copies(
+    p: CoveragePattern, rng: random.Random, copies: int
+) -> CoveragePattern:
+    """p plus ``copies`` new taxa, each in exactly the loci of an old one."""
+    loci = [list(members) for _name, members in p.loci]
+    for c in range(copies):
+        original = rng.randrange(p.n)
+        for members in loci:
+            if original in members:
+                members.append(p.n + c)
+    return make_pattern(loci, p.n + copies)
+
+
+def dense_with_copies(rng: random.Random) -> CoveragePattern:
+    p = dense_pattern(rng, (4, 7))
+    return with_copies(p, rng, rng.randint(1, 9 - p.n))
+
+
+class TestDifferential:
+    """decide against the oracle and the other engines, n <= 9."""
+
+    FAMILIES = {
+        "random": lambda rng: dense_pattern(rng, (4, 9)),
+        "duplicated": dense_with_copies,
+        "planted": lambda rng: planted_pattern(rng, n_range=(4, 9)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_engines_agree_and_labels_do_not_matter(self, family):
+        rng = random.Random(f"differential-{family}")
+        searched = 0
+        for _ in range(100):
+            p = self.FAMILIES[family](rng)
+            v = assert_engines_agree(p)
+            assert decide(relabelled(p, rng)).decisive == v.decisive
+            searched += v.decided_by in (DECIDED_FPT, DECIDED_DIRECT)
+        assert searched >= 10  # the kernel search, not only the screens
 
 
 class TestDecisiveSubset:
