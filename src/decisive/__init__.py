@@ -7,7 +7,6 @@ from .core import (  # noqa: F401
     ComponentPartition,
     CoveragePattern,
     Hypergraph,
-    PartialColoring,
     build_hypergraph,
     connected_components,
     is_rainbow,

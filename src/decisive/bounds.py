@@ -18,8 +18,10 @@ from .core import CoveragePattern, Hypergraph, uncovered_set
 from .errors import InvalidInstanceError, SizeLimitError
 from .reduction import incidence_matrix
 
-DEFAULT_IE_MAX_LOCI = 20
-DEFAULT_ENUM_WORK_CAP = 50_000_000
+# quadruple counting: inclusion-exclusion up to this many loci, else direct
+# enumeration of at most this many containment tests
+IE_MAX_LOCI = 20
+ENUM_WORK_CAP = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -63,30 +65,20 @@ def _locus_masks(pattern: CoveragePattern) -> list[int]:
     ]
 
 
-def count_quadruples(
-    pattern: CoveragePattern,
-    ie_max_loci: int = DEFAULT_IE_MAX_LOCI,
-    work_cap: int = DEFAULT_ENUM_WORK_CAP,
-) -> int:
+def count_quadruples(pattern: CoveragePattern) -> int:
     """Number of 4-element taxon subsets contained in at least one locus.
 
-    Uses inclusion-exclusion over locus subsets when k is small, otherwise
-    enumerates quadruples directly (refused above the work cap).
+    Uses inclusion-exclusion over locus subsets when k <= IE_MAX_LOCI,
+    otherwise enumerates quadruples directly (refused above ENUM_WORK_CAP).
     """
-    rows = incidence_matrix(pattern).rows
-    return _count_quadruples(pattern, rows, ie_max_loci, work_cap)
+    return _count_quadruples(pattern, incidence_matrix(pattern).rows)
 
 
-def _count_quadruples(
-    pattern: CoveragePattern,
-    rows: tuple[int, ...],
-    ie_max_loci: int = DEFAULT_IE_MAX_LOCI,
-    work_cap: int = DEFAULT_ENUM_WORK_CAP,
-) -> int:
+def _count_quadruples(pattern: CoveragePattern, rows: tuple[int, ...]) -> int:
     n, k = pattern.n, pattern.k
     if n < 4:
         raise InvalidInstanceError("quadruple counting needs at least 4 taxa")
-    if k <= ie_max_loci:
+    if k <= IE_MAX_LOCI:
         masks = _locus_masks(pattern)
         total = 0
         for t in range(1, 1 << k):
@@ -100,10 +92,10 @@ def _count_quadruples(
             total += term if t.bit_count() % 2 == 1 else -term
         return total
     work = comb(n, 4) * k
-    if work > work_cap:
+    if work > ENUM_WORK_CAP:
         raise SizeLimitError(
             f"direct quadruple enumeration needs ~{work} containment tests, "
-            f"cap is {work_cap}"
+            f"cap is {ENUM_WORK_CAP}"
         )
     return sum(
         1
@@ -112,16 +104,12 @@ def _count_quadruples(
     )
 
 
-def lower_bound_screen(
-    pattern: CoveragePattern,
-    ie_max_loci: int = DEFAULT_IE_MAX_LOCI,
-    work_cap: int = DEFAULT_ENUM_WORK_CAP,
-) -> bool:
+def lower_bound_screen(pattern: CoveragePattern) -> bool:
     """True iff the quadruple count already proves non-decisiveness.
 
     The bound is necessary, not sufficient: False says nothing.
     """
-    return count_quadruples(pattern, ie_max_loci, work_cap) < comb(pattern.n - 1, 3)
+    return count_quadruples(pattern) < comb(pattern.n - 1, 3)
 
 
 def triple_coverage(

@@ -27,6 +27,13 @@ EXIT_WITNESS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 
+# The node count is the one size in an edge-list file that its length does
+# not bound, so it is capped before any per-node list is built.  At 4,000
+# nodes, counting the guesses of a search that is then refused takes 1.1 s
+# on a 2-core x86 VM, and that cost grows about as n^2.8; from about 9,500
+# nodes the count has more digits than Python converts to a string (4,300).
+MAX_EDGE_LIST_NODES = 4_000
+
 
 # --------------------------------------------------------------------------
 # pattern file formats
@@ -167,6 +174,11 @@ def parse_hypergraph_file(path: str) -> Hypergraph:
                 node_count = int(parts[1])
             except ValueError:  # more digits than int() converts
                 raise InputFormatError(f"line {lineno}: node count too long") from None
+            if node_count > MAX_EDGE_LIST_NODES:
+                raise SizeLimitError(
+                    f"line {lineno}: {node_count} nodes, over the edge-list "
+                    f"limit of {MAX_EDGE_LIST_NODES}"
+                )
             continue
         try:
             edges.append(tuple(int(tok) for tok in line.split()))
@@ -230,11 +242,10 @@ def _cmd_check(args) -> tuple[int, dict]:
     return (EXIT_NO_WITNESS if verdict.decisive else EXIT_WITNESS), report
 
 
-def _load_hypergraph(args) -> tuple[Hypergraph, Optional[CoveragePattern]]:
+def _load_hypergraph(args) -> Hypergraph:
     if args.format == "edge-list":
-        return parse_hypergraph_file(args.input), None
-    pattern = parse_pattern_file(args.input, args.format)
-    return build_hypergraph(pattern), pattern
+        return parse_hypergraph_file(args.input)
+    return build_hypergraph(parse_pattern_file(args.input, args.format))
 
 
 def _coloring_json(coloring: Optional[Coloring]) -> Optional[list[int]]:
@@ -242,7 +253,7 @@ def _coloring_json(coloring: Optional[Coloring]) -> Optional[list[int]]:
 
 
 def _cmd_nrc(args) -> tuple[int, dict]:
-    h, _pattern = _load_hypergraph(args)
+    h = _load_hypergraph(args)
     start = time.perf_counter()
     outcome = nrc(h, args.r, guess_cap=args.search_cap, parallel=args.parallel)
     report = _base_report("nrc")
@@ -256,7 +267,7 @@ def _cmd_nrc(args) -> tuple[int, dict]:
 
 
 def _cmd_oracle(args) -> tuple[int, dict]:
-    h, _pattern = _load_hypergraph(args)
+    h = _load_hypergraph(args)
     start = time.perf_counter()
     witness = oracle.brute_force_nrc(h, args.r, node_cap=args.oracle_cap)
     report = _base_report("oracle")
@@ -329,7 +340,7 @@ def _cmd_emit_ilp(args) -> tuple[int, dict]:
 
 
 def _cmd_emit_cnf(args) -> tuple[int, dict]:
-    h, _pattern = _load_hypergraph(args)
+    h = _load_hypergraph(args)
     formula = emit.emit_cnf(h)
     text = formula.to_dimacs()
     if args.out:

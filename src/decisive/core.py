@@ -8,12 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInstanceError
-
-#: marker for an unassigned node in a partial coloring
-UNCOLORED = 0
 
 
 @dataclass(frozen=True)
@@ -96,18 +93,6 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
-class PartialColoring:
-    """Assignment of colors in ``1..r`` to some nodes; 0 marks uncolored."""
-
-    r: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(v < 0 or v > self.r for v in self.assignment):
-            raise InvalidInstanceError("partial coloring value outside 0..r")
-
-
-@dataclass(frozen=True)
 class Coloring:
     """Total assignment of colors in ``1..r``.
 
@@ -181,13 +166,9 @@ def connected_components(h: Hypergraph) -> ComponentPartition:
     return ComponentPartition(tuple(ids), len(relabel))
 
 
-def is_rainbow(
-    edge: Iterable[int],
-    coloring: Union[Coloring, PartialColoring],
-) -> bool:
+def is_rainbow(edge: Iterable[int], coloring: Coloring) -> bool:
     """True iff every color in ``1..r`` appears on at least one node of the edge."""
     seen = {coloring.assignment[v] for v in edge}
-    seen.discard(UNCOLORED)
     return len(seen) == coloring.r and all(
         q in seen for q in range(1, coloring.r + 1)
     )

@@ -28,8 +28,8 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -43,7 +43,7 @@ log = logging.getLogger(__name__)
 # on star_hypergraph(18, 4) took 141 s on a 2-core x86 VM
 DEFAULT_SEARCH_CAP = 10**7
 # A parallel search runs in-process below this many guesses.  Starting and
-# joining a pool of two workers costs 10-14 ms on a 2-core x86 VM and halves
+# joining a pool of two workers costs 8-12 ms on a 2-core x86 VM and halves
 # the scan, so it pays off once the sequential scan takes about twice that:
 # some 4,000 guesses at 4-5 us each.
 POOL_MIN_GUESSES = 4_000
@@ -216,15 +216,10 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
 
 
 def _nrc4_scan(
-    edge_masks: list[int],
-    n: int,
-    stride: int = 1,
-    offset: int = 0,
-    stop=None,
+    edge_masks: list[int], n: int, stride: int = 1, offset: int = 0
 ) -> Optional[list[int]]:
     """Scan (A, B) guesses in enumeration order; with a stride, only every
-    stride-th A is examined.  ``stop`` is checked once per A: once it is set,
-    the scan returns None."""
+    stride-th A is examined."""
     bits = [1 << v for v in range(n)]
     index = 0
     for i in range(1, n // 4 + 1):
@@ -232,8 +227,6 @@ def _nrc4_scan(
             index += 1
             if (index - 1) % stride != offset:
                 continue
-            if stop is not None and stop.is_set():
-                return None
             amask = sum(acombo)
             edges_a = [e for e in edge_masks if e & amask]
             rest = [b for b in bits if not b & amask]
@@ -249,31 +242,17 @@ def _nrc4_scan(
     return None
 
 
-_stop = None  # the pool's stop event, set in each worker by _init_worker
-
-
-def _init_worker(stop) -> None:
-    global _stop
-    _stop = stop
-
-
-def _nrc4_worker(*args) -> Optional[list[int]]:
-    return _nrc4_scan(*args, stop=_stop)
-
-
 def nrc4(
-    h: Hypergraph,
-    guess_cap: int = DEFAULT_SEARCH_CAP,
-    parallel: bool = False,
-    workers: Optional[int] = None,
+    h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP, parallel: bool = False
 ) -> NrcOutcome:
     """Exact 4-NRC by enumerating the two rarest color classes.
 
     Sequential mode returns the lexicographically first witness in the order
     of the module docstring (|A| <= |B|, min A < min B on ties); parallel
-    mode returns any witness, and a shared stop flag then ends the other
-    workers' scans.  Both give the same existence verdict.  A search of
-    fewer than POOL_MIN_GUESSES guesses runs in-process even when parallel.
+    mode returns the first witness a pool worker reports, and terminating the
+    pool then stops the other workers' scans.  Both give the same existence
+    verdict.  A search of fewer than POOL_MIN_GUESSES guesses runs in-process
+    even when parallel.
     """
     n = h.node_count
     if n < 4:
@@ -282,7 +261,7 @@ def nrc4(
     _announce(4, n, guesses, guess_cap)
     edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 4]
     if parallel and guesses >= POOL_MIN_GUESSES:
-        classes = _nrc4_parallel(edge_masks, n, workers)
+        classes = _nrc4_parallel(edge_masks, n)
     else:
         classes = _nrc4_scan(edge_masks, n)
     if classes is None:
@@ -290,27 +269,22 @@ def nrc4(
     return NrcOutcome(_coloring_from_masks(n, classes), RULE_SEARCH_4)
 
 
-def _nrc4_parallel(
-    edge_masks: list[int], n: int, workers: Optional[int]
-) -> Optional[list[int]]:
-    count = workers or min(os.cpu_count() or 1, 8)
+def _nrc4_parallel(edge_masks: list[int], n: int) -> Optional[list[int]]:
+    """The sequential scan split by A over one worker per core (at most 8).
+
+    Worker w scans every A whose index is w modulo the worker count.  The
+    first witness returned ends the ``with`` block, whose exit terminates the
+    workers still scanning.
+    """
+    count = min(os.cpu_count() or 1, 8)
     if count <= 1:
         return _nrc4_scan(edge_masks, n)
-    stop = multiprocessing.Event()
-    with ProcessPoolExecutor(
-        count, initializer=_init_worker, initargs=(stop,)
-    ) as pool:
-        futures = {
-            pool.submit(_nrc4_worker, edge_masks, n, count, offset)
-            for offset in range(count)
-        }
-        result = None
-        for fut in as_completed(futures):
-            found = fut.result()
-            if found is not None and result is None:
-                result = found
-                stop.set()  # running workers return at their next A
-    return result
+    with multiprocessing.Pool(count) as pool:
+        scan = partial(_nrc4_scan, edge_masks, n, count)
+        for classes in pool.imap_unordered(scan, range(count)):
+            if classes is not None:
+                return classes
+    return None
 
 
 def nrc(

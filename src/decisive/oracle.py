@@ -27,8 +27,10 @@ def _check_cap(h: Hypergraph, node_cap: int) -> None:
         )
 
 
-def _no_rainbow_chunks(h: Hypergraph, r: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (chunk_start, keep_mask) over all r^n assignments in vector order."""
+def _no_rainbow_chunks(
+    h: Hypergraph, r: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (colors, keep_mask) over all r^n assignments in vector order."""
     n = h.node_count
     total = r**n
     # node 0 is the most significant digit, so row order == lexicographic order
@@ -46,7 +48,7 @@ def _no_rainbow_chunks(h: Hypergraph, r: int) -> Iterator[tuple[int, np.ndarray]
             for q in range(1, r + 1):
                 rainbow &= (sub == q).any(axis=1)
             keep &= ~rainbow
-        yield start, colors, keep
+        yield colors, keep
 
 
 def brute_force_nrc(
@@ -54,7 +56,7 @@ def brute_force_nrc(
 ) -> Optional[Coloring]:
     """Lexicographically first surjective no-rainbow r-coloring, if any."""
     _check_cap(h, node_cap)
-    for _start, colors, keep in _no_rainbow_chunks(h, r):
+    for colors, keep in _no_rainbow_chunks(h, r):
         hits = np.flatnonzero(keep)
         if hits.size:
             return Coloring(r, tuple(int(c) for c in colors[hits[0]]))
@@ -64,4 +66,4 @@ def brute_force_nrc(
 def count_nrc(h: Hypergraph, r: int, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """Number of surjective no-rainbow r-colorings of ``h``."""
     _check_cap(h, node_cap)
-    return sum(int(keep.sum()) for _start, _colors, keep in _no_rainbow_chunks(h, r))
+    return sum(int(keep.sum()) for _colors, keep in _no_rainbow_chunks(h, r))

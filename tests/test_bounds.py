@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from conftest import random_pattern
+from decisive import bounds
 from decisive.bounds import (
     a_closed,
     a_recurrence,
@@ -59,7 +60,7 @@ class TestQuadrupleCount:
     def test_full_locus(self):
         assert count_quadruples(full_pattern(6)) == comb(6, 4)
 
-    def test_inclusion_exclusion_matches_direct(self):
+    def test_inclusion_exclusion_matches_direct(self, monkeypatch):
         rng = random.Random(10)
         for _ in range(60):
             p = random_pattern(rng, n_range=(4, 9), k_range=(1, 4))
@@ -69,12 +70,16 @@ class TestQuadrupleCount:
                 if any(set(quad) <= set(m) for _n, m in p.loci)
             )
             assert count_quadruples(p) == direct
-            assert count_quadruples(p, ie_max_loci=0) == direct
+            with monkeypatch.context() as m:
+                m.setattr(bounds, "IE_MAX_LOCI", 0)
+                assert count_quadruples(p) == direct
 
-    def test_work_cap(self):
+    def test_work_cap(self, monkeypatch):
         p = random_pattern(random.Random(11), n_range=(9, 9), k_range=(3, 3))
+        monkeypatch.setattr(bounds, "IE_MAX_LOCI", 0)
+        monkeypatch.setattr(bounds, "ENUM_WORK_CAP", 10)
         with pytest.raises(SizeLimitError):
-            count_quadruples(p, ie_max_loci=0, work_cap=10)
+            count_quadruples(p)
 
     def test_screen_never_fires_on_full_locus(self):
         for n in range(4, 9):

@@ -3,7 +3,9 @@
 import json
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from io import StringIO
 
 import jsonschema
 import pytest
@@ -14,6 +16,7 @@ from decisive.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NO_WITNESS,
     EXIT_WITNESS,
+    MAX_EDGE_LIST_NODES,
     parse_hypergraph_file,
     parse_pattern_text,
     pattern_to_locus_list,
@@ -22,13 +25,15 @@ from decisive.cli import (
 )
 from decisive import emit
 from decisive.core import CoveragePattern, build_hypergraph
-from decisive.errors import InputFormatError
+from decisive.errors import InputFormatError, SizeLimitError
 
 MATRIX = "taxon,L1,L2\na,1,0\nb,1,1\nc,0,1\n"
 LOCUS_LIST = "L1: a b\nL2: b c\n"
 
 TWO_TRIPLES = "L1: t0 t1 t2\nL2: t1 t2 t3\n"
 FULL_LOCUS = "taxon,L\na,1\nb,1\nc,1\nd,1\n"
+# a node count no per-node list can be built for
+HUGE_NODE_COUNT = b"nodes 100000000000000000000\n0 1 2 3\n"
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +91,25 @@ class TestFormats:
         with pytest.raises(InputFormatError):
             parse_hypergraph_file(str(f))
 
+    def test_node_count_over_the_limit_exit_three(self, tmp_path, capsys, schema):
+        f = tmp_path / "h.txt"
+        f.write_bytes(HUGE_NODE_COUNT)
+        code, report = run_cli(
+            capsys, "nrc", "--input", str(f), "--format", "edge-list"
+        )
+        assert code == EXIT_CAP_EXCEEDED
+        assert report["error"] == {
+            "type": "size-limit",
+            "message": "line 1: 100000000000000000000 nodes, over the edge-list "
+            f"limit of {MAX_EDGE_LIST_NODES}",
+        }
+        jsonschema.validate(report, schema)
+        f.write_text(f"nodes {MAX_EDGE_LIST_NODES}\n0 1 2 3\n")
+        code, report = run_cli(
+            capsys, "nrc", "--input", str(f), "--format", "edge-list"
+        )
+        assert code == EXIT_WITNESS and len(report["witness"]) == MAX_EDGE_LIST_NODES
+
     def test_hypergraph_file_bad_node_count(self, tmp_path, capsys, schema):
         f = tmp_path / "h.txt"
         f.write_text("# comment\nnodes abc\n0 1 2\n")
@@ -128,6 +152,11 @@ class TestFormats:
 
 # text biased toward the characters both pattern formats give meaning to
 PATTERN_TEXT = st.one_of(st.text(), st.text(alphabet=',:01 ab"#\t\n\r'))
+# bytes, and text biased toward the edge-list format
+EDGE_LIST_BYTES = st.one_of(
+    st.binary(),
+    st.text(alphabet="nodes 0123-#\n\r\xff").map(str.encode),
+)
 
 
 class TestParserProperties:
@@ -144,11 +173,9 @@ class TestParserProperties:
         if fmt == "locus-list":
             assert parse_pattern_text(pattern_to_locus_list(p), "locus-list") == p
 
-    @given(st.one_of(
-        st.binary(),
-        st.text(alphabet="nodes 0123-#\n\r\xff").map(str.encode),
-    ))
+    @given(EDGE_LIST_BYTES)
     @example(b"nodes " + b"9" * 5000)  # more digits than int() converts
+    @example(HUGE_NODE_COUNT)
     def test_hypergraph_parse_is_total(self, tmp_path_factory, data):
         f = tmp_path_factory.mktemp("edge-list") / "h.txt"
         f.write_bytes(data)
@@ -156,7 +183,32 @@ class TestParserProperties:
             h = parse_hypergraph_file(str(f))
         except InputFormatError:
             return
+        except SizeLimitError as exc:
+            assert f"over the edge-list limit of {MAX_EDGE_LIST_NODES}" in str(exc)
+            return
         assert all(0 <= v < h.node_count for edge in h.edges for v in edge)
+        assert h.node_count <= MAX_EDGE_LIST_NODES
+
+    @given(
+        EDGE_LIST_BYTES,
+        st.sampled_from([("nrc", "--search-cap=2000"), ("oracle", "--oracle-cap=6")]),
+        st.sampled_from(["2", "3", "4"]),
+    )
+    @example(HUGE_NODE_COUNT, ("nrc", "--search-cap=2000"), "4")
+    def test_run_is_total_on_edge_lists(
+        self, tmp_path_factory, schema, data, command, r
+    ):
+        f = tmp_path_factory.mktemp("edge-list") / "h.txt"
+        f.write_bytes(data)
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([command[0], command[1], "--r", r, "--input", str(f),
+                        "--format", "edge-list"])
+        assert code in (EXIT_NO_WITNESS, EXIT_WITNESS, EXIT_INPUT_ERROR,
+                        EXIT_CAP_EXCEEDED)
+        report = json.loads(out.getvalue() or err.getvalue())
+        assert report["exit_code"] == code
+        jsonschema.validate(report, schema)
 
 
 class TestCheck:

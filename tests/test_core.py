@@ -11,7 +11,6 @@ from decisive.core import (
     Coloring,
     CoveragePattern,
     Hypergraph,
-    PartialColoring,
     build_hypergraph,
     connected_components,
     is_rainbow,
@@ -102,9 +101,6 @@ class TestRainbow:
 
     def test_two_color_edge(self):
         assert is_rainbow((0, 1), Coloring(2, (1, 2)))
-
-    def test_partial_coloring_uncolored_does_not_count(self):
-        assert not is_rainbow((0, 1, 2, 3), PartialColoring(4, (1, 2, 3, 0)))
 
     def test_verify_rejects_rainbow_edge(self):
         h = Hypergraph(4, ((0, 1, 2, 3),))

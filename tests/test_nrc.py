@@ -13,7 +13,6 @@ from conftest import random_hypergraph, random_uniform_hypergraph
 from decisive.core import Coloring, Hypergraph, verify_no_rainbow
 from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
-    _nrc4_scan,
     DEFAULT_SEARCH_CAP,
     POOL_MIN_GUESSES,
     RULE_COMPONENT_SPLIT,
@@ -47,6 +46,12 @@ def planted(rng: random.Random, sizes: tuple[int, ...]) -> Hypergraph:
         if len({color[v] for v in q}) < r
     )
     return Hypergraph(len(color), edges)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """A parallel search sees two cores, so it runs two pool workers."""
+    monkeypatch.setattr(nrc_module.os, "cpu_count", lambda: 2)
 
 
 class TestNrc2:
@@ -138,27 +143,19 @@ class TestNrc4:
     @pytest.mark.parametrize(
         "sizes", [(1, 1, 2, 3), (1, 1, 4, 6), (2, 2, 3, 3), (3, 3, 3, 3)]
     )
-    def test_planted_tied_classes_found(self, sizes):
+    def test_planted_tied_classes_found(self, two_cores, sizes):
         rng = random.Random(sum(sizes))
         for _ in range(3):
             h = planted(rng, sizes)
-            for out in (nrc4(h), nrc4(h, parallel=True, workers=2)):
+            for out in (nrc4(h), nrc4(h, parallel=True)):
                 assert out.found and verify_no_rainbow(h, out.witness)
 
-    def test_set_stop_event_ends_scan(self):
-        # node 0 lies in no edge, so the very first guess completes
-        h = Hypergraph(6, ((1, 2, 3, 4), (2, 3, 4, 5)))
-        assert _nrc4_scan(list(h.edge_masks), 6) is not None
-        stop = multiprocessing.Event()
-        stop.set()
-        assert _nrc4_scan(list(h.edge_masks), 6, stop=stop) is None
-
-    def test_parallel_stops_other_workers(self):
+    def test_parallel_stops_other_workers(self, two_cores):
         # only a guess with A = the singleton class completes, and only one
         # worker makes it; the other's full scan takes about 25 s on 2 cores
         h = planted(random.Random(0), (1, 5, 5, 5))
         start = time.perf_counter()
-        out = nrc4(h, parallel=True, workers=2)
+        out = nrc4(h, parallel=True)
         assert time.perf_counter() - start < 5.0
         assert out.found and verify_no_rainbow(h, out.witness)
 
@@ -192,15 +189,38 @@ class TestNrc4:
         first = nrc4(h)
         assert nrc4(h) == first
 
-    def test_parallel_same_verdict(self):
+    def test_parallel_same_verdict(self, two_cores):
         rng = random.Random(7)
         for _ in range(5):
             h = random_uniform_hypergraph(rng, 8, 4, 10)
             seq = nrc4(h)
-            par = nrc4(h, parallel=True, workers=2)
+            par = nrc4(h, parallel=True)
             assert seq.found == par.found
             if par.found:
                 assert verify_no_rainbow(h, par.witness)
+
+    # the parallel benchmark instances that reach POOL_MIN_GUESSES
+    @pytest.mark.parametrize(
+        "kind,arg",
+        [("star", 11), ("star", 12),
+         ("planted", (2, 3, 3, 3)), ("planted", (3, 3, 3, 3)),
+         ("planted", (2, 3, 3, 4))],
+        ids=["star-11", "star-12", "planted-2333", "planted-3333", "planted-2334"],
+    )
+    def test_pool_agrees_and_leaves_no_workers(self, two_cores, kind, arg):
+        from decisive.bounds import star_hypergraph
+
+        if kind == "star":
+            h = star_hypergraph(arg, 4)
+        else:
+            h = planted(random.Random(sum(arg)), arg)
+        assert nrc4_guesses(h.node_count) >= POOL_MIN_GUESSES
+        seq = nrc4(h)
+        par = nrc4(h, parallel=True)
+        assert par.found == seq.found == (kind == "planted")
+        if par.found:
+            assert verify_no_rainbow(h, par.witness)
+        assert multiprocessing.active_children() == []
 
 
 class TestGuessBudget:
@@ -273,19 +293,19 @@ class TestGuessBudget:
             for r in caplog.records
         )
 
-    def test_short_parallel_search_starts_no_pool(self, monkeypatch):
+    def test_short_parallel_search_starts_no_pool(self, monkeypatch, two_cores):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(nrc_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(nrc_module.multiprocessing, "Pool", no_pool)
         h = planted(random.Random(1), (2, 2, 3, 3))
         assert nrc4_guesses(h.node_count) < POOL_MIN_GUESSES
-        out = nrc4(h, parallel=True, workers=2)
+        out = nrc4(h, parallel=True)
         assert out == nrc4(h) and verify_no_rainbow(h, out.witness)
         big = planted(random.Random(1), (2, 3, 3, 3))
         assert nrc4_guesses(big.node_count) >= POOL_MIN_GUESSES
         with pytest.raises(AssertionError, match="a pool was started"):
-            nrc4(big, parallel=True, workers=2)
+            nrc4(big, parallel=True)
 
 
 class TestDispatcher:

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from conftest import duplicated_pattern, planted_pattern, random_pattern
+from decisive import bounds
 from decisive.bounds import lower_bound_screen
 from decisive.core import Coloring, CoveragePattern, build_hypergraph, verify_no_rainbow
 from decisive.errors import SizeLimitError
@@ -167,9 +168,12 @@ class TestWithoutQuadrupleBound:
         ]
         return make_pattern(loci, n)
 
-    def test_bound_implies_a_verified_witness(self):
+    def test_bound_implies_a_verified_witness(self, monkeypatch):
         # decide runs no quadruple bound: wherever the bound proves the
         # pattern non-decisive, decide must return a verified witness
+        # n <= 10: direct enumeration is cheap and equals the
+        # inclusion-exclusion count
+        monkeypatch.setattr(bounds, "IE_MAX_LOCI", 0)
         rng = random.Random(19)
         generators = [
             lambda: random_pattern(rng, n_range=(4, 10), k_range=(1, 8),
@@ -181,9 +185,7 @@ class TestWithoutQuadrupleBound:
         for generate in generators:
             for _ in range(400):
                 p = generate()
-                # n <= 10: direct enumeration is cheap and equals the
-                # inclusion-exclusion count
-                if not lower_bound_screen(p, ie_max_loci=0):
+                if not lower_bound_screen(p):
                     continue
                 v = decide(p)
                 assert not v.decisive
