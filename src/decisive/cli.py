@@ -28,10 +28,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 
 # The node count is the one size in an edge-list file that its length does
-# not bound, so it is capped before any per-node list is built.  At 4,000
-# nodes, counting the guesses of a search that is then refused takes 1.1 s
-# on a 2-core x86 VM, and that cost grows about as n^2.8; from about 9,500
-# nodes the count has more digits than Python converts to a string (4,300).
+# not bound, so it is capped before any per-node list is built.
 MAX_EDGE_LIST_NODES = 4_000
 
 
@@ -282,6 +279,9 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 def _cmd_reduce(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
     ri = reduction.reduce_pattern(pattern)
+    kept = 0  # loci left after dropping the dominated ones
+    for row in ri.searched.matrix.rows:
+        kept |= row
     report = _base_report("reduce")
     report.update(
         n=pattern.n,
@@ -295,6 +295,11 @@ def _cmd_reduce(args) -> tuple[int, dict]:
             for rep, members in ri.copies.items()
         },
         row_count_screen=reduction.row_count_screen(ri),
+        dominated_loci=[
+            name for j, (name, _members) in enumerate(pattern.loci)
+            if not kept >> j & 1
+        ],
+        search_rows=ri.searched.n_reduced,
     )
     return EXIT_NO_WITNESS, report
 

@@ -42,6 +42,11 @@ log = logging.getLogger(__name__)
 # guesses an exhaustive search may make: nrc4 on 18 nodes makes 6.5e6, and
 # on star_hypergraph(18, 4) took 141 s on a 2-core x86 VM
 DEFAULT_SEARCH_CAP = 10**7
+# A refusal states the exact guess count up to this many (or up to the
+# budget, when that is larger).  Counting further is pointless, takes seconds
+# for thousands of nodes, and from about 9,500 nodes gives a number with more
+# digits than int -> str converts.
+GUESS_COUNT_LIMIT = 10**18
 # A parallel search runs in-process below this many guesses.  Starting and
 # joining a pool of two workers costs 8-12 ms on a 2-core x86 VM and halves
 # the scan, so it pays off once the sequential scan takes about twice that:
@@ -142,17 +147,28 @@ def _complete(edges: list[int], uncolored: int) -> Optional[tuple[int, int]]:
     return forced, uncolored
 
 
-def nrc3_guesses(n: int) -> int:
-    """Number of A guesses an exhaustive ``nrc3`` makes on n nodes."""
-    return sum(comb(n, i) for i in range(1, n // 3 + 1))
+def nrc3_guesses(n: int, limit: Optional[int] = None) -> int:
+    """Number of A guesses an exhaustive ``nrc3`` makes on n nodes.
+
+    With ``limit``, counting stops once the total passes it, and any count
+    over ``limit`` comes back as ``limit + 1``.
+    """
+    total = 0
+    for i in range(1, n // 3 + 1):
+        total += comb(n, i)
+        if limit is not None and total > limit:
+            return limit + 1
+    return total
 
 
-def nrc4_guesses(n: int) -> int:
+def nrc4_guesses(n: int, limit: Optional[int] = None) -> int:
     """Number of (A, B) guesses an exhaustive ``nrc4`` makes on n nodes.
 
     |A| = i runs over 1..n//4 and |B| = j over i..(n-i)//3.  When j = i,
     exactly one of (A, B) and (B, A) has min A < min B, so half of the
-    C(n, i) * C(n-i, i) disjoint pairs are guessed.
+    C(n, i) * C(n-i, i) disjoint pairs are guessed.  With ``limit``, counting
+    stops once the total passes it, and any count over ``limit`` comes back
+    as ``limit + 1``.
     """
     total = 0
     for i in range(1, n // 4 + 1):
@@ -163,26 +179,44 @@ def nrc4_guesses(n: int) -> int:
         for j in range(i + 1, rest // 3 + 1):
             b_count = b_count * (rest - j + 1) // j  # C(rest, j), running
             larger += b_count
+            if limit is not None and total + larger > limit:
+                return limit + 1
         total += comb(n, i) * larger
+        if limit is not None and total > limit:
+            return limit + 1
     return total
 
 
-def check_budget(r: int, guesses: int, guess_cap: int, subject: str) -> None:
-    """Refuse an exhaustive r-NRC search of more than ``guess_cap`` guesses."""
+_GUESS_COUNTS = {3: nrc3_guesses, 4: nrc4_guesses}
+
+
+def check_budget(r: int, n: int, guess_cap: int, subject: str) -> int:
+    """Guesses of an exhaustive r-NRC search on n nodes; a search of more
+    than ``guess_cap`` is refused.
+
+    The count stops at ``max(guess_cap, GUESS_COUNT_LIMIT)``; a refusal past
+    that names the bound instead of the count.
+    """
+    limit = max(guess_cap, GUESS_COUNT_LIMIT)
+    guesses = _GUESS_COUNTS[r](n, limit)
     if guesses > guess_cap:
+        count = f"more than {limit}" if guesses > limit else str(guesses)
         raise SizeLimitError(
             f"{r}-NRC search refused: {subject}; an exhaustive search makes "
-            f"{guesses} guesses, over the budget of {guess_cap}"
+            f"{count} guesses, over the budget of {guess_cap}"
         )
+    return guesses
 
 
-def _announce(r: int, n: int, guesses: int, guess_cap: int) -> None:
-    """Log a search's estimate, then refuse it if it is over the budget."""
+def _announce(r: int, n: int, guess_cap: int) -> int:
+    """Refuse a search over the budget, else log its estimate; returns the
+    guess count."""
+    guesses = check_budget(r, n, guess_cap, f"the hypergraph has {n} nodes")
     log.debug(
         "%d-NRC search: %d nodes, at most %d guesses, budget %d",
         r, n, guesses, guess_cap,
     )
-    check_budget(r, guesses, guess_cap, f"the hypergraph has {n} nodes")
+    return guesses
 
 
 def _coloring_from_masks(n: int, class_masks: list[int]) -> Coloring:
@@ -200,7 +234,7 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     n = h.node_count
     if n < 3:
         raise InvalidInstanceError("3-NRC needs at least 3 nodes")
-    _announce(3, n, nrc3_guesses(n), guess_cap)
+    _announce(3, n, guess_cap)
     edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 3]
     full_mask = (1 << n) - 1
     for i in range(1, n // 3 + 1):
@@ -257,8 +291,7 @@ def nrc4(
     n = h.node_count
     if n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 nodes")
-    guesses = nrc4_guesses(n)
-    _announce(4, n, guesses, guess_cap)
+    guesses = _announce(4, n, guess_cap)
     edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 4]
     if parallel and guesses >= POOL_MIN_GUESSES:
         classes = _nrc4_parallel(edge_masks, n)

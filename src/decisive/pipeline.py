@@ -3,8 +3,9 @@
 A pattern is decisive iff its coverage hypergraph has no no-rainbow
 4-coloring.  ``decide`` runs one stack: cheap certificates first (full locus;
 uncovered triple and rooted case, both read off the kernel it builds once),
-then a search of the kernel for a no-rainbow 4-coloring, unless an exhaustive
-search would exceed the guess budget.  The other engines (``nrc.nrc4`` on the
+then a search for a no-rainbow 4-coloring of that kernel with its dominated
+loci dropped (``reduction.drop_dominated_loci``), unless an exhaustive search
+would exceed the guess budget.  The other engines (``nrc.nrc4`` on the
 raw hypergraph, ``reduction.fpt_nrc4``, ``oracle.brute_force_nrc``) stay
 public and are reached from ``decisive nrc`` and ``decisive oracle``.  No
 quadruple count runs here: its bound only confirms a witness the search finds
@@ -91,9 +92,10 @@ def decide(
 ) -> Verdict:
     """Decide decisiveness.
 
-    Runs the screens in cost order, then searches the kernel: the verdict
-    reads "fpt" when duplicate rows exist, "direct-search" when the kernel is
-    the input itself.  ``search_cap`` is the guess budget of the search (see
+    Runs the screens in cost order, then searches the kernel left after
+    dropping dominated loci: the verdict reads "fpt" when that kernel has
+    fewer rows than the pattern has taxa, "direct-search" when it is the input
+    itself.  ``search_cap`` is the guess budget of the search (see
     ``nrc.nrc4_guesses``); a search over it raises SizeLimitError before it
     starts.
     """
@@ -123,7 +125,7 @@ def decide(
         return Verdict(True, None, DECIDED_ROOTED, stats())
 
     outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
-    engine = DECIDED_FPT if ri.spares else DECIDED_DIRECT
+    engine = DECIDED_FPT if ri.searched.spares else DECIDED_DIRECT
     if outcome.found:
         return _non_decisive(
             pattern, outcome.witness, engine, stats(rule=outcome.rule)

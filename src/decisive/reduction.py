@@ -1,18 +1,28 @@
 """Incidence-matrix kernelization and the fixed-parameter decision driver.
 
 Each taxon's row is stored as a k-bit integer (bit j set iff the taxon is in
-locus j).  Striking out duplicate rows leaves at most 2^k nodes.  Once every
-triple of taxa lies in some locus, the reduced hypergraph has a no-rainbow
-4-coloring iff the original has one, and copies take their representative's
-color.  No 2- or 3-coloring of the kernel needs searching: after the triple
-screen one representative of each color lies in a common locus, so every
-such coloring is rainbow.
+locus j).  Two reduction rules shrink the matrix:
+
+* striking out duplicate rows leaves at most 2^k nodes (``dedup``);
+* a locus contained in another adds no constraint (if the larger one is not
+  rainbow, neither is the smaller), so ``drop_dominated_loci`` deletes it
+  and strikes out the rows that then agree.
+
+Once every triple of taxa lies in some locus, the reduced hypergraph has a
+no-rainbow 4-coloring iff the original has one, and copies take their
+representative's color.  Dropping a dominated locus keeps every triple
+covered, by the locus that contains it.  The screens see only the first
+rule; the r = 4 search (``kernel_nrc4``) runs on the result of both.  No 2-
+or 3-coloring of the kernel needs searching: after the triple screen one
+representative of each color lies in a common locus, so every such coloring
+is rainbow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Optional
 
 from .core import Coloring, CoveragePattern, Hypergraph, uncovered_set
@@ -25,7 +35,6 @@ from .nrc import (
     check_budget,
     non_neighbor_coloring,
     nrc,
-    nrc4_guesses,
 )
 
 
@@ -62,6 +71,12 @@ class ReducedInstance:
                 edges.append(edge)
         return Hypergraph(max(len(rows), 1), tuple(edges))
 
+    @cached_property
+    def searched(self) -> "ReducedInstance":
+        """The instance ``kernel_nrc4`` searches: this one after
+        ``drop_dominated_loci``."""
+        return drop_dominated_loci(self)
+
     @property
     def n_reduced(self) -> int:
         return self.matrix.n
@@ -96,6 +111,43 @@ def dedup(matrix: IncidenceMatrix) -> ReducedInstance:
 
 def reduce_pattern(pattern: CoveragePattern) -> ReducedInstance:
     return dedup(incidence_matrix(pattern))
+
+
+def drop_dominated_loci(ri: ReducedInstance) -> ReducedInstance:
+    """Drop every locus whose column over the kernel rows lies inside a
+    strictly larger one (of equal columns the first stays), then strike out
+    the source rows that agree on the loci kept.
+
+    Returns ``ri`` itself when no nonempty locus is dropped.  Columns are
+    taken largest first, so a column is compared only with the kept columns
+    of larger size, and equal columns meet in a dict.
+    """
+    rows = ri.matrix.rows
+    columns = [0] * ri.matrix.k
+    for p, row in enumerate(rows):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << p
+            row ^= low
+    by_size = sorted(range(len(columns)), key=lambda j: -columns[j].bit_count())
+    larger: list[int] = []  # kept columns of the sizes already passed
+    keep = 0  # mask of the kept loci
+    for size, group in groupby(by_size, key=lambda j: columns[j].bit_count()):
+        if not size:
+            break
+        kept: dict[int, int] = {}  # column -> first locus with it
+        for j in group:
+            column = columns[j]
+            if column not in kept and all(column & big != column for big in larger):
+                kept[column] = j
+                keep |= 1 << j
+        larger += kept
+    if all(row & keep == row for row in rows):
+        return ri
+    source = ri.source
+    return dedup(
+        IncidenceMatrix(source.n, source.k, tuple(row & keep for row in source.rows))
+    )
 
 
 def zero_and_screen(ri: ReducedInstance) -> Optional[Coloring]:
@@ -136,22 +188,24 @@ def kernel_nrc4(
     guess_cap: int = DEFAULT_SEARCH_CAP,
     parallel: bool = False,
 ) -> NrcOutcome:
-    """4-NRC of the source by an r = 4 search on its kernel, the witness lifted
-    to the source taxa.  Exact once every triple is covered: two copies colored
-    apart would share the locus covering one of them and a taxon of each other
-    color, and make it rainbow.  The search is refused before it starts when
-    an exhaustive one would make more than ``guess_cap`` guesses."""
-    if ri.n_reduced < 4:
+    """4-NRC of the source by an r = 4 search on its kernel after dropping
+    dominated loci (``ri.searched``), the witness lifted to the source taxa.
+    Exact once every triple is covered: two copies colored apart would share
+    the locus covering one of them and a taxon of each other color, and make
+    it rainbow.  The search is refused before it starts when an exhaustive
+    one would make more than ``guess_cap`` guesses."""
+    kernel = ri.searched
+    if kernel.n_reduced < 4:
         return NrcOutcome(None, RULE_EXHAUSTED)
     check_budget(
         4,
-        nrc4_guesses(ri.n_reduced),
+        kernel.n_reduced,
         guess_cap,
-        f"the kernel of {ri.source.n} taxa has {ri.n_reduced} rows",
+        f"the kernel of {kernel.source.n} taxa has {kernel.n_reduced} rows",
     )
-    outcome = nrc(ri.hypergraph, 4, guess_cap, parallel)
+    outcome = nrc(kernel.hypergraph, 4, guess_cap, parallel)
     if outcome.found:
-        return NrcOutcome(lift_coloring(ri, outcome.witness), outcome.rule)
+        return NrcOutcome(lift_coloring(kernel, outcome.witness), outcome.rule)
     return outcome
 
 

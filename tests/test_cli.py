@@ -308,15 +308,12 @@ class TestCheck:
         jsonschema.validate(report, schema)
 
     def test_kernel_over_the_budget_refused_at_once(self, tmp_path, capsys, schema):
-        # taxon i is in group i mod 10; locus j drops group j mod 10, and
-        # loci 10..20 also drop taxon (j + 11) mod 30 of another group: 10
-        # group rows plus 11 rows of the dropped taxa, every triple covered
-        loci = []
-        for j in range(21):
-            members = {i for i in range(30) if i % 10 != j % 10}
-            if j >= 10:
-                members.discard((j + 11) % 30)
-            loci.append((f"L{j}", members))
+        # taxon i is in group i mod 21 and locus j drops group j: 21 group
+        # rows, every triple covered, and no locus inside another, so the
+        # 21-row kernel is what the search would see
+        loci = [
+            (f"L{j}", {i for i in range(30) if i % 21 != j}) for j in range(21)
+        ]
         p = CoveragePattern.from_sets([f"t{i}" for i in range(30)], loci)
         f = tmp_path / "p.csv"
         f.write_text(pattern_to_matrix_csv(p))
@@ -332,6 +329,48 @@ class TestCheck:
             "10000000"
         )
         jsonschema.validate(report, schema)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_guess_count_stops_past_the_budget(self, tmp_path, capsys, schema, r):
+        # one locus of 10,000 taxa covers every triple; the exact guess count
+        # would take seconds and has over 4,300 digits
+        f = tmp_path / "p.loci"
+        f.write_text("L: " + " ".join(f"t{i}" for i in range(10_000)) + "\n")
+        start = time.perf_counter()
+        code, report = run_cli(
+            capsys, "nrc", "--input", str(f), "--format", "locus-list",
+            "--r", str(r),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CAP_EXCEEDED
+        assert report["error"]["message"] == (
+            f"{r}-NRC search refused: the hypergraph has 10000 nodes; an "
+            "exhaustive search makes more than 1000000000000000000 guesses, "
+            "over the budget of 10000000"
+        )
+        jsonschema.validate(report, schema)
+
+    def test_dominated_loci_dropped_before_the_budget(self, tmp_path, capsys):
+        # taxon i is in group i mod 10; locus j drops group j mod 10, and
+        # loci 10..20 also drop taxon (j + 11) mod 30 of another group: a
+        # 21-row kernel, but each of loci 10..20 lies inside locus j - 10,
+        # and without them the kernel has the 10 group rows
+        loci = []
+        for j in range(21):
+            members = {i for i in range(30) if i % 10 != j % 10}
+            if j >= 10:
+                members.discard((j + 11) % 30)
+            loci.append((f"L{j}", members))
+        p = CoveragePattern.from_sets([f"t{i}" for i in range(30)], loci)
+        f = tmp_path / "p.csv"
+        f.write_text(pattern_to_matrix_csv(p))
+        start = time.perf_counter()
+        code, report = run_cli(
+            capsys, "check", "--input", str(f), "--format", "matrix-csv"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_NO_WITNESS
+        assert report["verdict"]["decided_by"] == "fpt"
 
     def test_report_to_file(self, tmp_path, capsys):
         f = tmp_path / "p.csv"
@@ -389,6 +428,19 @@ class TestReportingCommands:
         assert code == EXIT_NO_WITNESS
         assert report["n_reduced"] == 3  # a and b share a row
         assert report["copy_classes"]["a"] == ["a", "b"]
+
+    def test_reduce_reports_dominated_loci(self, tmp_path, capsys, schema):
+        f = tmp_path / "p.loci"
+        f.write_text("L1: a b c d\nL2: a b c\nL3: b c d e\nL4: a b c\n")
+        code, report = run_cli(
+            capsys, "reduce", "--input", str(f), "--format", "locus-list"
+        )
+        assert code == EXIT_NO_WITNESS
+        assert report["n_reduced"] == 4  # b and c share a row
+        # L2 = L4 lies inside L1; without them b, c and d share a row
+        assert report["dominated_loci"] == ["L2", "L4"]
+        assert report["search_rows"] == 3
+        jsonschema.validate(report, schema)
 
     def test_bound_report(self, tmp_path, capsys):
         f = tmp_path / "p.csv"

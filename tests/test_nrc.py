@@ -14,10 +14,12 @@ from decisive.core import Coloring, Hypergraph, verify_no_rainbow
 from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
     DEFAULT_SEARCH_CAP,
+    GUESS_COUNT_LIMIT,
     POOL_MIN_GUESSES,
     RULE_COMPONENT_SPLIT,
     RULE_EXHAUSTED,
     RULE_NON_NEIGHBOR,
+    check_budget,
     non_neighbor_coloring,
     non_neighbor_witness,
     nrc,
@@ -261,6 +263,31 @@ class TestGuessBudget:
         assert nrc4_guesses(18) == 6492147 <= DEFAULT_SEARCH_CAP
         assert nrc4_guesses(19) == 22737756 > DEFAULT_SEARCH_CAP
         assert nrc3_guesses(27) <= DEFAULT_SEARCH_CAP < nrc3_guesses(28)
+
+    @pytest.mark.parametrize("count", [nrc3_guesses, nrc4_guesses])
+    def test_count_stops_past_its_limit(self, count):
+        for n in range(3, 40):
+            exact = count(n)
+            for limit in (0, 1, exact // 2, exact - 1, exact, exact + 1):
+                assert count(n, limit) == min(exact, limit + 1)
+        # the exact count of a million nodes would take minutes
+        start = time.perf_counter()
+        assert count(10**6, GUESS_COUNT_LIMIT) == GUESS_COUNT_LIMIT + 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_refusal_past_the_count_limit_names_the_limit(self):
+        assert GUESS_COUNT_LIMIT == 10**18
+        with pytest.raises(SizeLimitError) as err:
+            check_budget(4, 200, DEFAULT_SEARCH_CAP, "200 nodes")
+        assert str(err.value) == (
+            "4-NRC search refused: 200 nodes; an exhaustive search makes more "
+            "than 1000000000000000000 guesses, over the budget of 10000000"
+        )
+        # a budget over the limit counts as far as the budget
+        assert check_budget(4, 50, 10**30, "50 nodes") == nrc4_guesses(50)
+        assert nrc4_guesses(50) > GUESS_COUNT_LIMIT
+        with pytest.raises(SizeLimitError, match=f"more than {10**30} guesses"):
+            check_budget(4, 100, 10**30, "100 nodes")
 
     def test_over_budget_refused_before_the_search(self, completions):
         # the first guess would complete: only the count can refuse these

@@ -1,6 +1,7 @@
 """The decision pipeline and the greedy decisive-subset heuristic."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,7 @@ from decisive.pipeline import (
     decisive_subset,
     partition_from_coloring,
 )
-from decisive.reduction import fpt_nrc4
+from decisive.reduction import fpt_nrc4, reduce_pattern
 
 
 def make_pattern(loci: list[list[int]], n: int) -> CoveragePattern:
@@ -253,6 +254,67 @@ class TestDifferential:
             assert decide(relabelled(p, rng)).decisive == v.decisive
             searched += v.decided_by in (DECIDED_FPT, DECIDED_DIRECT)
         assert searched >= 10  # the kernel search, not only the screens
+
+
+def missing_groups(n: int, dropped: list[set[int]]) -> CoveragePattern:
+    """Locus j covers every taxon outside ``dropped[j]``."""
+    return make_pattern([[i for i in range(n) if i not in d] for d in dropped], n)
+
+
+def nested_pattern(rng: random.Random, copies: bool) -> CoveragePattern:
+    """A dense pattern, with copied taxa or without, plus one to four loci
+    that each lie inside one of its loci (or equal it)."""
+    p = dense_pattern(rng, (4, 7) if copies else (4, 9))
+    if copies:
+        p = with_copies(p, rng, rng.randint(1, 9 - p.n))
+    loci = [list(members) for _name, members in p.loci]
+    for _ in range(rng.randint(1, 4)):
+        outer = rng.choice(loci)
+        loci.append(rng.sample(outer, rng.randint(min(3, len(outer)), len(outer))))
+    return make_pattern(loci, p.n)
+
+
+class TestDominatedLoci:
+    """decide searches the kernel left after dropping dominated loci."""
+
+    def test_grouped_miss_decided_within_a_second(self):
+        # taxon i is in group i mod 10; locus j drops group j mod 10, and
+        # loci 10..20 also drop taxon j + 11: 21 kernel rows, over the
+        # budget, until loci 10..20, each inside locus j - 10, are dropped
+        groups = [{i for i in range(100) if i % 10 == g} for g in range(10)]
+        p = missing_groups(
+            100, groups + [groups[j % 10] | {j + 11} for j in range(10, 21)]
+        )
+        ri = reduce_pattern(p)
+        assert (ri.n_reduced, ri.searched.n_reduced) == (21, 10)
+        start = time.perf_counter()
+        v = decide(p)
+        assert time.perf_counter() - start < 1.0
+        assert v.decisive and v.decided_by == DECIDED_FPT
+
+    def test_rows_merged_by_the_drop_count_as_spares(self):
+        # taxon i is in group i mod 10: taxa 0 and 10 differ only in the
+        # last locus, which lies inside the one that drops group 1
+        groups = [{i for i in range(11) if i % 10 == g} for g in range(10)]
+        p = missing_groups(11, groups + [groups[1] | {10}])
+        ri = reduce_pattern(p)
+        assert ri.spares == 0 and ri.searched.spares == 1
+        v = decide(p)
+        assert v.decisive and v.decided_by == DECIDED_FPT
+
+    @pytest.mark.parametrize("copies", [False, True])
+    def test_engines_agree_on_nested_loci(self, copies):
+        rng = random.Random(f"nested-{copies}")
+        shrunk = 0
+        for _ in range(150):
+            p = nested_pattern(rng, copies)
+            v = assert_engines_agree(p)
+            ri = reduce_pattern(p)
+            shrunk += (
+                v.decided_by in (DECIDED_FPT, DECIDED_DIRECT)
+                and ri.searched.n_reduced < ri.n_reduced
+            )
+        assert shrunk >= 10  # the search ran on a smaller kernel
 
 
 class TestDecisiveSubset:

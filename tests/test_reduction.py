@@ -20,8 +20,10 @@ from decisive.pipeline import coloring_from_partition, decide
 from decisive.reduction import (
     IncidenceMatrix,
     dedup,
+    drop_dominated_loci,
     fpt_nrc4,
     incidence_matrix,
+    kernel_nrc4,
     lift_coloring,
     reduce_pattern,
     row_count_screen,
@@ -70,6 +72,78 @@ class TestDedup:
         ri = reduce_pattern(p)
         # rows: a=01, b=01, c=11, d=10 -> reps a, c, d
         assert ri.hypergraph.edges == ((0, 1), (1, 2))
+
+
+def named_loci(n: int, loci: list) -> CoveragePattern:
+    return CoveragePattern.from_sets(
+        [f"t{i}" for i in range(n)],
+        [(f"L{j}", members) for j, members in enumerate(loci)],
+    )
+
+
+def kept_loci(ri) -> list[int]:
+    """Loci with a column left in the reduced matrix."""
+    used = 0
+    for row in ri.matrix.rows:
+        used |= row
+    return [j for j in range(ri.matrix.k) if used >> j & 1]
+
+
+class TestDropDominatedLoci:
+    def test_equal_columns_keep_the_first(self):
+        # L1 and L2 have one column over the kernel rows; L0 is not inside them
+        p = named_loci(4, [[1, 2, 3], [0, 1, 2], [0, 1, 2]])
+        kernel = drop_dominated_loci(reduce_pattern(p))
+        assert kept_loci(kernel) == [0, 1]
+        # kernel rows t0, t1 (= t2), t3
+        assert kernel.hypergraph.edges == ((1, 2), (0, 1))
+
+    def test_nested_chain_keeps_the_largest(self):
+        # L0 < L1 < L2, and L3 beside them; t2 and t3 differ only in L1
+        p = named_loci(5, [[0, 1], [0, 1, 2], [0, 1, 2, 3], [2, 3, 4]])
+        ri = reduce_pattern(p)
+        assert ri.n_reduced == 4
+        kernel = drop_dominated_loci(ri)
+        assert kept_loci(kernel) == [2, 3]
+        assert kernel.representatives == (0, 2, 4)
+        assert kernel.copies == {0: (0, 1), 2: (2, 3), 4: (4,)}
+        assert kernel.spares == 2 and ri.spares == 1
+
+    def test_nothing_dominated_returns_the_same_instance(self):
+        p = named_loci(7, star_hypergraph(7, 4).edges)
+        ri = reduce_pattern(p)
+        assert drop_dominated_loci(ri) is ri
+        assert ri.searched is ri
+
+    def test_empty_columns_are_dropped(self):
+        ri = dedup(IncidenceMatrix(3, 3, (0b011, 0b010, 0b001)))
+        assert drop_dominated_loci(ri) is ri  # the empty L2 carries no bit
+        # beside an empty L2, L1 lies inside L0, and the two rows merge
+        kernel = drop_dominated_loci(dedup(IncidenceMatrix(2, 3, (0b011, 0b001))))
+        assert kept_loci(kernel) == [0] and kernel.n_reduced == 1
+
+    def test_merged_rows_become_copies_and_the_witness_lifts(self):
+        # every 4-set of taxa 0..5 that misses a color of (1, 2, 3, 4, 1, 2),
+        # taxon 6 in each locus of taxon 0, and one locus inside another
+        # without taxon 6: only that locus tells taxa 0 and 6 apart
+        colors = (1, 2, 3, 4, 1, 2)
+        loci = [
+            set(q) for q in combinations(range(6), 4)
+            if len({colors[v] for v in q}) < 4
+        ]
+        for members in loci:
+            if 0 in members:
+                members.add(6)
+        loci.append(next(m for m in loci if 0 in m) - {6})
+        p = named_loci(7, loci)
+        ri = reduce_pattern(p)
+        assert zero_and_screen(ri) is None  # every triple is covered
+        kernel = drop_dominated_loci(ri)
+        assert (ri.n_reduced, kernel.n_reduced) == (7, 6)
+        assert kernel.copies[0] == (0, 6)
+        witness = kernel_nrc4(ri).witness
+        assert witness.assignment[0] == witness.assignment[6]
+        assert verify_no_rainbow(build_hypergraph(p), witness)
 
 
 class TestScreens:
