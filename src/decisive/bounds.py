@@ -151,8 +151,8 @@ def rooted_decide(pattern: CoveragePattern) -> Optional[bool]:
 
 def bound_report(pattern: CoveragePattern) -> BoundReport:
     """Every screen of this module, on one incidence matrix."""
-    if pattern.n < 3:
-        raise InvalidInstanceError("triple coverage needs at least 3 taxa")
+    if pattern.n < 4:
+        raise InvalidInstanceError("the bound report needs at least 4 taxa")
     rows = incidence_matrix(pattern).rows
     uncovered = uncovered_set(rows, 3)
     root = _full_row(rows, pattern.k)

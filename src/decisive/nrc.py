@@ -29,9 +29,9 @@ import logging
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
+from multiprocessing.connection import wait
 from typing import Optional
 
 from .core import Coloring, Hypergraph, connected_components, uncovered_set
@@ -40,7 +40,7 @@ from .errors import InvalidInstanceError, SizeLimitError
 log = logging.getLogger(__name__)
 
 # guesses an exhaustive search may make: nrc4 on 18 nodes makes 6.5e6, and
-# on star_hypergraph(18, 4) took 141 s on a 2-core x86 VM
+# on star_hypergraph(18, 4) took 27 s on a 2-core x86 VM
 DEFAULT_SEARCH_CAP = 10**7
 # A refusal states the exact guess count up to this many (or up to the
 # budget, when that is larger).  Counting further is pointless, takes seconds
@@ -48,9 +48,10 @@ DEFAULT_SEARCH_CAP = 10**7
 # digits than int -> str converts.
 GUESS_COUNT_LIMIT = 10**18
 # A parallel search runs in-process below this many guesses.  Starting and
-# joining a pool of two workers costs 8-12 ms on a 2-core x86 VM and halves
-# the scan, so it pays off once the sequential scan takes about twice that:
-# some 4,000 guesses at 4-5 us each.
+# joining two worker processes costs 4-8 ms on a 2-core x86 VM and at best
+# halves the scan (1.4-3 us per guess).  star_hypergraph(11, 4), 7,480
+# guesses, took 12-31 ms in-process and 10-41 ms in two workers; n = 12,
+# 21,351 guesses, 42-111 ms against 26-122 ms.
 POOL_MIN_GUESSES = 4_000
 
 RULE_COMPONENT_SPLIT = "component-split"
@@ -115,19 +116,21 @@ def non_neighbor_witness(h: Hypergraph, r: int) -> Optional[Coloring]:
     return None if group is None else non_neighbor_coloring(n, r, group)
 
 
-def _complete(edges: list[int], uncolored: int) -> Optional[tuple[int, int]]:
+def _complete(
+    edges: list[int], last: int, uncolored: int
+) -> Optional[tuple[int, int]]:
     """Split ``uncolored`` into the classes of the last two colors, or None.
 
-    ``edges`` are the edges that meet every fixed class; an edge outside them
-    can never be rainbow.  The first of them with two or more uncolored nodes
-    must keep those nodes in one color, say r-1.  Any edge that then meets
-    color r-1 forces its uncolored nodes to r-1 as well, since color r inside
-    it would complete a rainbow.  The fixpoint of that flood is the least
-    class r-1; the guess fails when it leaves no node for color r.
+    ``edges`` meet every fixed class but ``last``, the last guessed one; an
+    edge that misses ``last`` can never be rainbow and is skipped.  The first
+    other edge with two or more uncolored nodes must keep them in one color,
+    say r-1.  Any edge that then meets color r-1 forces its uncolored nodes
+    to r-1 too, since color r inside it would complete a rainbow.  The flood's
+    fixpoint is the least class r-1; the guess fails if no node is left for r.
     """
     for emask in edges:
         forced = emask & uncolored
-        if forced & (forced - 1):
+        if emask & last and forced & (forced - 1):
             break
     else:
         # nothing can become rainbow: split the rest into two nonempty classes
@@ -138,7 +141,7 @@ def _complete(edges: list[int], uncolored: int) -> Optional[tuple[int, int]]:
     while changed:
         changed = False
         for emask in edges:
-            if emask & forced and emask & uncolored:
+            if emask & forced and emask & uncolored and emask & last:
                 forced |= emask & uncolored
                 uncolored &= ~emask
                 if not uncolored:
@@ -240,8 +243,7 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     for i in range(1, n // 3 + 1):
         for acombo in combinations([1 << v for v in range(n)], i):
             amask = sum(acombo)
-            edges_a = [e for e in edge_masks if e & amask]
-            split = _complete(edges_a, full_mask ^ amask)
+            split = _complete(edge_masks, amask, full_mask ^ amask)
             if split is not None:
                 return NrcOutcome(
                     _coloring_from_masks(n, [amask, *split]), RULE_SEARCH_3
@@ -252,27 +254,24 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
 def _nrc4_scan(
     edge_masks: list[int], n: int, stride: int = 1, offset: int = 0
 ) -> Optional[list[int]]:
-    """Scan (A, B) guesses in enumeration order; with a stride, only every
-    stride-th A is examined."""
+    """Scan (A, B) guesses in enumeration order, listing the edges that meet
+    A once per A; with a stride, only every stride-th A from offset on."""
     bits = [1 << v for v in range(n)]
-    index = 0
-    for i in range(1, n // 4 + 1):
-        for acombo in combinations(bits, i):
-            index += 1
-            if (index - 1) % stride != offset:
-                continue
-            amask = sum(acombo)
-            edges_a = [e for e in edge_masks if e & amask]
-            rest = [b for b in bits if not b & amask]
-            above = [b for b in rest if b > acombo[0]]
-            rest_mask = sum(rest)
-            for j in range(i, (n - i) // 3 + 1):
-                for bcombo in combinations(above if j == i else rest, j):
-                    bmask = sum(bcombo)
-                    edges_ab = [e for e in edges_a if e & bmask]
-                    split = _complete(edges_ab, rest_mask ^ bmask)
-                    if split is not None:
-                        return [amask, bmask, *split]
+    sizes = range(1, n // 4 + 1)
+    a_guesses = chain.from_iterable(combinations(bits, i) for i in sizes)
+    for acombo in islice(a_guesses, offset, None, stride):
+        i = len(acombo)
+        amask = sum(acombo)
+        edges_a = [e for e in edge_masks if e & amask]
+        rest = [b for b in bits if not b & amask]
+        above = [b for b in rest if b > acombo[0]]
+        rest_mask = sum(rest)
+        for j in range(i, (n - i) // 3 + 1):
+            for bcombo in combinations(above if j == i else rest, j):
+                bmask = sum(bcombo)
+                split = _complete(edges_a, bmask, rest_mask ^ bmask)
+                if split is not None:
+                    return [amask, bmask, *split]
     return None
 
 
@@ -283,10 +282,10 @@ def nrc4(
 
     Sequential mode returns the lexicographically first witness in the order
     of the module docstring (|A| <= |B|, min A < min B on ties); parallel
-    mode returns the first witness a pool worker reports, and terminating the
-    pool then stops the other workers' scans.  Both give the same existence
-    verdict.  A search of fewer than POOL_MIN_GUESSES guesses runs in-process
-    even when parallel.
+    mode returns the first witness a worker process reports, and then
+    terminates the other workers.  Both give the same existence verdict.  A
+    search of fewer than POOL_MIN_GUESSES guesses runs in-process even when
+    parallel.
     """
     n = h.node_count
     if n < 4:
@@ -303,21 +302,44 @@ def nrc4(
 
 
 def _nrc4_parallel(edge_masks: list[int], n: int) -> Optional[list[int]]:
-    """The sequential scan split by A over one worker per core (at most 8).
+    """The sequential scan split by A over one process per core (at most 8).
 
-    Worker w scans every A whose index is w modulo the worker count.  The
-    first witness returned ends the ``with`` block, whose exit terminates the
-    workers still scanning.
+    Worker w scans every A whose position is w modulo the worker count and
+    sends its result down a pipe of its own.  The first witness received
+    ends the search, and the workers still scanning are terminated.  No
+    worker shares a lock, so terminating one in mid-send blocks nothing; a
+    pool's shared result queue would stay locked, and its shutdown hang.
     """
     count = min(os.cpu_count() or 1, 8)
     if count <= 1:
         return _nrc4_scan(edge_masks, n)
-    with multiprocessing.Pool(count) as pool:
-        scan = partial(_nrc4_scan, edge_masks, n, count)
-        for classes in pool.imap_unordered(scan, range(count)):
-            if classes is not None:
-                return classes
-    return None
+    workers, results = [], []
+    try:
+        for offset in range(count):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(
+                target=_send_scan, args=(send, edge_masks, n, count, offset)
+            )
+            worker.start()
+            workers.append(worker)
+            send.close()  # so a worker that dies unheard reads as EOF
+            results.append(receive)
+        while results:
+            for receive in wait(results):
+                results.remove(receive)
+                classes = receive.recv()
+                if classes is not None:
+                    return classes
+        return None
+    finally:
+        for worker in workers:
+            worker.terminate()
+            worker.join()
+
+
+def _send_scan(send, edge_masks: list[int], n: int, stride: int, offset: int):
+    """One worker of the parallel scan: its result goes down ``send``."""
+    send.send(_nrc4_scan(edge_masks, n, stride, offset))
 
 
 def nrc(

@@ -159,6 +159,36 @@ EDGE_LIST_BYTES = st.one_of(
 )
 
 
+# small well-formed patterns in either format, so most examples parse
+PATTERN_FILES = st.integers(1, 10).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
+        min_size=1,
+        max_size=8,
+    ).map(
+        lambda loci: CoveragePattern.from_sets(
+            [f"t{i}" for i in range(n)],
+            [(f"L{j}", members) for j, members in enumerate(loci)],
+        )
+    )
+).flatmap(
+    lambda p: st.sampled_from(
+        [(pattern_to_matrix_csv(p), "matrix-csv"),
+         (pattern_to_locus_list(p), "locus-list")]
+    )
+)
+PATTERN_COMMANDS = [
+    ("check", "--search-cap=2000"),
+    ("subset", "--search-cap=2000"),
+    ("nrc", "--search-cap=2000"),
+    ("reduce",),
+    ("bound",),
+    ("emit-ilp",),
+    ("emit-cnf",),
+    ("oracle", "--oracle-cap=6"),
+]
+
+
 class TestParserProperties:
     @given(PATTERN_TEXT, st.sampled_from(["matrix-csv", "locus-list"]))
     @example('taxon,L\n"a\rb",1\n', "matrix-csv")
@@ -207,6 +237,32 @@ class TestParserProperties:
         assert code in (EXIT_NO_WITNESS, EXIT_WITNESS, EXIT_INPUT_ERROR,
                         EXIT_CAP_EXCEEDED)
         report = json.loads(out.getvalue() or err.getvalue())
+        assert report["exit_code"] == code
+        jsonschema.validate(report, schema)
+
+    @given(
+        st.one_of(
+            st.tuples(PATTERN_TEXT, st.sampled_from(["matrix-csv", "locus-list"])),
+            PATTERN_FILES,
+        ),
+        st.sampled_from(PATTERN_COMMANDS),
+    )
+    @example(("taxon,L\na,1\nb,1\nc,1\n", "matrix-csv"), ("bound",))
+    def test_run_is_total_on_patterns(
+        self, tmp_path_factory, schema, source, command
+    ):
+        text, fmt = source
+        f = tmp_path_factory.mktemp("pattern") / "p.txt"
+        f.write_text(text, encoding="utf-8")
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([*command, "--input", str(f), "--format", fmt])
+        assert code in (EXIT_NO_WITNESS, EXIT_WITNESS, EXIT_INPUT_ERROR,
+                        EXIT_CAP_EXCEEDED)
+        # errors and the emit commands' reports go to stderr
+        on_stderr = (code in (EXIT_INPUT_ERROR, EXIT_CAP_EXCEEDED)
+                     or command[0].startswith("emit-"))
+        report = json.loads((err if on_stderr else out).getvalue())
         assert report["exit_code"] == code
         jsonschema.validate(report, schema)
 
@@ -451,6 +507,20 @@ class TestReportingCommands:
         assert code == EXIT_NO_WITNESS
         assert report["triple_coverage_ok"] and report["rooted"]
         assert report["quadruple_count"] == 1 and report["threshold"] == 1
+
+    def test_bound_on_three_taxa_names_the_report(
+        self, tmp_path, capsys, schema
+    ):
+        f = tmp_path / "p.csv"
+        f.write_text("taxon,L\na,1\nb,1\nc,1\n")
+        code, report = run_cli(
+            capsys, "bound", "--input", str(f), "--format", "matrix-csv"
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert report["error"] == {
+            "type": "input", "message": "the bound report needs at least 4 taxa"
+        }
+        jsonschema.validate(report, schema)
 
     def test_emit_ilp_writes_model(self, tmp_path, capsys):
         f = tmp_path / "p.csv"

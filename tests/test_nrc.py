@@ -3,13 +3,20 @@
 import importlib
 import logging
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 
 import pytest
 
-from conftest import random_hypergraph, random_uniform_hypergraph
+from conftest import (
+    random_hypergraph,
+    random_uniform_hypergraph,
+    reference_no_rainbow_colorings,
+)
 from decisive.core import Coloring, Hypergraph, verify_no_rainbow
 from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
@@ -161,6 +168,23 @@ class TestNrc4:
         assert time.perf_counter() - start < 5.0
         assert out.found and verify_no_rainbow(h, out.witness)
 
+    def test_workers_finishing_together_never_hang(self):
+        # every worker's first guess completes, so all of them send at once;
+        # a worker terminated in mid-send once left the shared result queue
+        # of a multiprocessing.Pool locked, and the search hung within some
+        # 80-650 searches of this kind
+        script = (
+            "import importlib\n"
+            "from decisive.core import Hypergraph\n"
+            "nrc = importlib.import_module('decisive.nrc')\n"
+            "nrc.os.cpu_count = lambda: 4\n"
+            "for _ in range(250):\n"
+            "    assert nrc.nrc4(Hypergraph(11, ()), parallel=True).found\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       timeout=30)
+
     def test_small_edges_ignored(self):
         # edges below size 4 cannot be rainbow with 4 colors
         h = Hypergraph(5, ((0, 1), (1, 2, 3), (2, 3, 4)))
@@ -223,6 +247,54 @@ class TestNrc4:
         if par.found:
             assert verify_no_rainbow(h, par.witness)
         assert multiprocessing.active_children() == []
+
+
+def classes(coloring: Coloring, color: int) -> tuple[int, ...]:
+    return tuple(v for v, c in enumerate(coloring.assignment) if c == color)
+
+
+class TestWitnessOrder:
+    """The sequential searches return the first witness in the order of the
+    module docstring, found here from every no-rainbow coloring."""
+
+    @pytest.fixture(scope="class")
+    def hypergraphs(self):
+        rng = random.Random(9)
+        return [random_hypergraph(rng, n_range=(4, 7), max_edges=10)
+                for _ in range(120)]
+
+    def test_nrc4_first_pair(self, hypergraphs):
+        for h in hypergraphs:
+            n = h.node_count
+            pairs = set()
+            for coloring in reference_no_rainbow_colorings(h, 4):
+                a, b = classes(coloring, 1), classes(coloring, 2)
+                if (len(a) <= n // 4
+                        and len(a) <= len(b) <= (n - len(a)) // 3
+                        and (len(a) < len(b) or a[0] < b[0])):
+                    pairs.add((len(a), a, len(b), b))
+            out = nrc4(h)
+            if not pairs:
+                assert not out.found
+                continue
+            _, a, _, b = min(pairs)
+            assert (classes(out.witness, 1), classes(out.witness, 2)) == (a, b)
+            assert verify_no_rainbow(h, out.witness)
+
+    def test_nrc3_first_class(self, hypergraphs):
+        for h in hypergraphs:
+            firsts = {
+                (len(a), a)
+                for a in (classes(c, 1)
+                          for c in reference_no_rainbow_colorings(h, 3))
+                if len(a) <= h.node_count // 3
+            }
+            out = nrc3(h)
+            if not firsts:
+                assert not out.found
+                continue
+            assert classes(out.witness, 1) == min(firsts)[1]
+            assert verify_no_rainbow(h, out.witness)
 
 
 class TestGuessBudget:
@@ -324,7 +396,7 @@ class TestGuessBudget:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(nrc_module.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(nrc_module.multiprocessing, "Process", no_pool)
         h = planted(random.Random(1), (2, 2, 3, 3))
         assert nrc4_guesses(h.node_count) < POOL_MIN_GUESSES
         out = nrc4(h, parallel=True)
