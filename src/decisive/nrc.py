@@ -15,12 +15,21 @@ that coverage patterns produce:
 * an edge that already sees colors 1..(r-1) forces all of its uncolored nodes
   to color r-1, since color r inside it would complete a rainbow.
 
+A link screen skips rarest classes that cannot complete.  If every
+(r-1)-set of the nodes outside A lies in an edge that meets A, no guess with
+that A completes: one node from each other class sits in such an edge, and
+it is rainbow.  An edge that meets A meets every superset of A, so both
+searches take A only from the "live" nodes, whose own link leaves some
+(r-1)-set uncovered.  4-NRC also screens each larger A before its B guesses;
+3-NRC makes one completion per A, which costs no more than the screen.  Only
+guesses that cannot succeed are skipped, so the witness stays the same.
+
 Witness soundness is always re-checkable with core.verify_no_rainbow.
 
-The number of guesses an exhaustive search makes depends only on the node
-count (``nrc3_guesses``, ``nrc4_guesses``).  A search whose count exceeds the
-guess budget is refused before it starts, even though a witness might turn up
-early.
+An exhaustive search makes at most ``nrc3_guesses`` / ``nrc4_guesses``
+guesses, counts that depend only on the node count; the screen may skip
+some.  A search whose count exceeds the guess budget is refused before it
+starts, even though a witness might turn up early.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 from multiprocessing.connection import wait
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import Coloring, Hypergraph, connected_components, uncovered_set
 from .errors import InvalidInstanceError, SizeLimitError
@@ -48,11 +57,12 @@ DEFAULT_SEARCH_CAP = 10**7
 # digits than int -> str converts.
 GUESS_COUNT_LIMIT = 10**18
 # A parallel search runs in-process below this many guesses.  Starting and
-# joining two worker processes costs 4-8 ms on a 2-core x86 VM and at best
-# halves the scan (1.4-3 us per guess).  star_hypergraph(11, 4), 7,480
-# guesses, took 12-31 ms in-process and 10-41 ms in two workers; n = 12,
-# 21,351 guesses, 42-111 ms against 26-122 ms.
-POOL_MIN_GUESSES = 4_000
+# joining two worker processes costs 5-7 ms on a 2-core x86 VM.  At 7,480
+# guesses (11 nodes), planted witnesses took 13-15 ms in-process against
+# 14-20 ms in two workers, and star_hypergraph(11, 4) 31-35 ms against
+# 27-31 ms; at 21,351 (12 nodes) the star took 103-118 ms against 71-81 ms
+# (medians of 15, two sessions).
+POOL_MIN_GUESSES = 20_000
 
 RULE_COMPONENT_SPLIT = "component-split"
 RULE_NON_NEIGHBOR = "non-neighbor"
@@ -108,12 +118,84 @@ def non_neighbor_witness(h: Hypergraph, r: int) -> Optional[Coloring]:
         raise InvalidInstanceError(f"need at least r={r} nodes, got {n}")
     if r < 3:
         return None  # sets of size 2..r-1 require r >= 3
+    group = uncovered_set(_incidence_rows(n, h.edges), r - 1)
+    return None if group is None else non_neighbor_coloring(n, r, group)
+
+
+def _incidence_rows(n: int, edges: list[tuple[int, ...]]) -> list[int]:
+    """Each node's incidence row: bit j set iff the node is in ``edges[j]``."""
     rows = [0] * n
-    for j, edge in enumerate(h.edges):
+    for j, edge in enumerate(edges):
         for v in edge:
             rows[v] |= 1 << j
-    group = uncovered_set(rows, r - 1)
-    return None if group is None else non_neighbor_coloring(n, r, group)
+    return rows
+
+
+def _link_gap(
+    rows: list[int], amask: int, meets: int, size: int
+) -> Optional[tuple[int, int]]:
+    """A ``size``-set outside A that no edge meeting A contains, or None.
+
+    ``rows`` are the incidence rows and ``meets`` marks the edges that meet
+    A.  The set comes back as its node mask and the mask of the edges that
+    hold all of it: it is uncovered for any A that it misses and whose edges
+    miss those.
+    """
+    # highest nodes first: the set then stays uncovered across more of the
+    # guesses, which come in lexicographic order
+    rest = [v for v in reversed(range(len(rows))) if not amask >> v & 1]
+    found = uncovered_set([rows[v] & meets for v in rest], size)
+    if found is None:
+        return None
+    nodes, common = 0, -1
+    for p in found:
+        nodes |= 1 << rest[p]
+        common &= rows[rest[p]]
+    return nodes, common
+
+
+def _search_input(
+    h: Hypergraph, r: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The edges of r or more nodes as masks, each node's incidence row over
+    them, and the live nodes: those whose own link leaves an (r-1)-set
+    uncovered."""
+    n = h.node_count
+    kept = [j for j, e in enumerate(h.edges) if len(e) >= r]
+    rows = _incidence_rows(n, [h.edges[j] for j in kept])
+    live = [a for (a,), _ in _screened_guesses(rows, range(n), r - 1, 1)]
+    log.debug("%d-NRC search: %d of %d nodes pass the link screen",
+              r, len(live), n)
+    return [h.edge_masks[j] for j in kept], rows, live
+
+
+def _screened_guesses(
+    rows: list[int], live: Sequence[int], size: int, most: int,
+    stride: int = 1, offset: int = 0,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Rarest-class guesses A of 1..``most`` live nodes, by size and then
+    lexicographically, every stride-th from ``offset`` on, as the tuple of
+    A's nodes and A's mask.  Skipped is every A whose link leaves no
+    ``size``-set uncovered."""
+    guesses = chain.from_iterable(
+        combinations(live, i) for i in range(1, most + 1)
+    )
+    # the uncovered sets found so far: one usually serves the next A, which
+    # saves its scan (star_hypergraph(12, 4) needs 16 scans for 298 A's; it
+    # needed 134 when only the last set was kept)
+    gaps: list[tuple[int, int]] = []
+    for a in islice(guesses, offset, None, stride):
+        amask = meets = 0
+        for v in a:
+            amask |= 1 << v
+            meets |= rows[v]
+        if not any(not (nodes & amask or common & meets)
+                   for nodes, common in reversed(gaps)):
+            gap = _link_gap(rows, amask, meets, size)
+            if gap is None:
+                continue
+            gaps.append(gap)
+        yield a, amask
 
 
 def _complete(
@@ -151,7 +233,7 @@ def _complete(
 
 
 def nrc3_guesses(n: int, limit: Optional[int] = None) -> int:
-    """Number of A guesses an exhaustive ``nrc3`` makes on n nodes.
+    """Number of A guesses an exhaustive ``nrc3`` makes on n nodes, at most.
 
     With ``limit``, counting stops once the total passes it, and any count
     over ``limit`` comes back as ``limit + 1``.
@@ -165,7 +247,8 @@ def nrc3_guesses(n: int, limit: Optional[int] = None) -> int:
 
 
 def nrc4_guesses(n: int, limit: Optional[int] = None) -> int:
-    """Number of (A, B) guesses an exhaustive ``nrc4`` makes on n nodes.
+    """Number of (A, B) guesses an exhaustive ``nrc4`` makes on n nodes, at
+    most.
 
     |A| = i runs over 1..n//4 and |B| = j over i..(n-i)//3.  When j = i,
     exactly one of (A, B) and (B, A) has min A < min B, so half of the
@@ -194,7 +277,7 @@ _GUESS_COUNTS = {3: nrc3_guesses, 4: nrc4_guesses}
 
 
 def check_budget(r: int, n: int, guess_cap: int, subject: str) -> int:
-    """Guesses of an exhaustive r-NRC search on n nodes; a search of more
+    """Guesses of an unscreened r-NRC search on n nodes; a search of more
     than ``guess_cap`` is refused.
 
     The count stops at ``max(guess_cap, GUESS_COUNT_LIMIT)``; a refusal past
@@ -238,11 +321,11 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     if n < 3:
         raise InvalidInstanceError("3-NRC needs at least 3 nodes")
     _announce(3, n, guess_cap)
-    edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 3]
+    edge_masks, rows, live = _search_input(h, 3)
     full_mask = (1 << n) - 1
     for i in range(1, n // 3 + 1):
-        for acombo in combinations([1 << v for v in range(n)], i):
-            amask = sum(acombo)
+        for a in combinations(live, i):
+            amask = sum(1 << v for v in a)
             split = _complete(edge_masks, amask, full_mask ^ amask)
             if split is not None:
                 return NrcOutcome(
@@ -252,19 +335,19 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
 
 
 def _nrc4_scan(
-    edge_masks: list[int], n: int, stride: int = 1, offset: int = 0
+    edge_masks: list[int], rows: list[int], live: list[int],
+    stride: int = 1, offset: int = 0,
 ) -> Optional[list[int]]:
-    """Scan (A, B) guesses in enumeration order, listing the edges that meet
-    A once per A; with a stride, only every stride-th A from offset on."""
+    """Scan (A, B) guesses in enumeration order, for each A that passes the
+    link screen, listing the edges that meet A once per A; with a stride,
+    only every stride-th A of the live nodes from offset on."""
+    n = len(rows)
     bits = [1 << v for v in range(n)]
-    sizes = range(1, n // 4 + 1)
-    a_guesses = chain.from_iterable(combinations(bits, i) for i in sizes)
-    for acombo in islice(a_guesses, offset, None, stride):
-        i = len(acombo)
-        amask = sum(acombo)
+    for a, amask in _screened_guesses(rows, live, 3, n // 4, stride, offset):
+        i = len(a)
         edges_a = [e for e in edge_masks if e & amask]
         rest = [b for b in bits if not b & amask]
-        above = [b for b in rest if b > acombo[0]]
+        above = [b for b in rest if b > amask & -amask]
         rest_mask = sum(rest)
         for j in range(i, (n - i) // 3 + 1):
             for bcombo in combinations(above if j == i else rest, j):
@@ -291,17 +374,19 @@ def nrc4(
     if n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 nodes")
     guesses = _announce(4, n, guess_cap)
-    edge_masks = [m for m, e in zip(h.edge_masks, h.edges) if len(e) >= 4]
+    scan_input = _search_input(h, 4)
     if parallel and guesses >= POOL_MIN_GUESSES:
-        classes = _nrc4_parallel(edge_masks, n)
+        classes = _nrc4_parallel(*scan_input)
     else:
-        classes = _nrc4_scan(edge_masks, n)
+        classes = _nrc4_scan(*scan_input)
     if classes is None:
         return NrcOutcome(None, RULE_EXHAUSTED)
     return NrcOutcome(_coloring_from_masks(n, classes), RULE_SEARCH_4)
 
 
-def _nrc4_parallel(edge_masks: list[int], n: int) -> Optional[list[int]]:
+def _nrc4_parallel(
+    edge_masks: list[int], rows: list[int], live: list[int]
+) -> Optional[list[int]]:
     """The sequential scan split by A over one process per core (at most 8).
 
     Worker w scans every A whose position is w modulo the worker count and
@@ -312,13 +397,14 @@ def _nrc4_parallel(edge_masks: list[int], n: int) -> Optional[list[int]]:
     """
     count = min(os.cpu_count() or 1, 8)
     if count <= 1:
-        return _nrc4_scan(edge_masks, n)
+        return _nrc4_scan(edge_masks, rows, live)
     workers, results = [], []
     try:
         for offset in range(count):
             receive, send = multiprocessing.Pipe(duplex=False)
             worker = multiprocessing.Process(
-                target=_send_scan, args=(send, edge_masks, n, count, offset)
+                target=_send_scan,
+                args=(send, edge_masks, rows, live, count, offset),
             )
             worker.start()
             workers.append(worker)
@@ -337,9 +423,9 @@ def _nrc4_parallel(edge_masks: list[int], n: int) -> Optional[list[int]]:
             worker.join()
 
 
-def _send_scan(send, edge_masks: list[int], n: int, stride: int, offset: int):
+def _send_scan(send, *scan_args):
     """One worker of the parallel scan: its result goes down ``send``."""
-    send.send(_nrc4_scan(edge_masks, n, stride, offset))
+    send.send(_nrc4_scan(*scan_args))
 
 
 def nrc(

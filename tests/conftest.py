@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -102,6 +103,20 @@ def reference_no_rainbow_colorings(h: Hypergraph, r: int) -> list[Coloring]:
             continue
         out.append(Coloring(r, assignment))
     return out
+
+
+def reference_link_covers(h: Hypergraph, a: tuple[int, ...], size: int) -> bool:
+    """Whether every ``size``-set of the nodes outside A lies in an edge that
+    meets A.  Then no no-rainbow (size + 1)-coloring has A as a class: one
+    node of each other class would share such an edge with A."""
+    outside = [v for v in range(h.node_count) if v not in a]
+    covered = {
+        t
+        for edge in h.edges
+        if set(edge) & set(a)
+        for t in combinations([v for v in edge if v not in a], size)
+    }
+    return len(covered) == comb(len(outside), size)
 
 
 def cnf_satisfiable_exhaustive(formula, n: int) -> bool:

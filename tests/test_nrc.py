@@ -9,15 +9,17 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from conftest import (
     random_hypergraph,
     random_uniform_hypergraph,
+    reference_link_covers,
     reference_no_rainbow_colorings,
 )
-from decisive.core import Coloring, Hypergraph, verify_no_rainbow
+from decisive.core import Coloring, CoveragePattern, Hypergraph, verify_no_rainbow
 from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
     DEFAULT_SEARCH_CAP,
@@ -37,6 +39,7 @@ from decisive.nrc import (
     nrc4_guesses,
 )
 from decisive.oracle import brute_force_nrc
+from decisive.reduction import reduce_pattern
 
 # the package exports a function named nrc, which hides the module attribute
 nrc_module = importlib.import_module("decisive.nrc")
@@ -228,10 +231,8 @@ class TestNrc4:
     # the parallel benchmark instances that reach POOL_MIN_GUESSES
     @pytest.mark.parametrize(
         "kind,arg",
-        [("star", 11), ("star", 12),
-         ("planted", (2, 3, 3, 3)), ("planted", (3, 3, 3, 3)),
-         ("planted", (2, 3, 3, 4))],
-        ids=["star-11", "star-12", "planted-2333", "planted-3333", "planted-2334"],
+        [("star", 12), ("planted", (3, 3, 3, 3)), ("planted", (2, 3, 3, 4))],
+        ids=["star-12", "planted-3333", "planted-2334"],
     )
     def test_pool_agrees_and_leaves_no_workers(self, two_cores, kind, arg):
         from decisive.bounds import star_hypergraph
@@ -311,6 +312,8 @@ class TestGuessBudget:
         monkeypatch.setattr(nrc_module, "_complete", counted)
         return calls
 
+    # an exhaustive scan makes every guess but those of the A's whose link
+    # covers every triple; on stars that happens only below 9 nodes
     @pytest.mark.parametrize(
         "n,guesses",
         [(8, 406), (9, 666), (10, 1875), (11, 7480), (12, 21351), (13, 42406)],
@@ -318,18 +321,57 @@ class TestGuessBudget:
     def test_nrc4_count_equals_exhaustive_scan(self, completions, n, guesses):
         from decisive.bounds import star_hypergraph
 
-        assert nrc4_guesses(n) == guesses
-        assert not nrc4(star_hypergraph(n, 4)).found
-        assert completions[0] == guesses
+        def b_guesses(a):
+            i, rest = len(a), [v for v in range(n) if v not in a]
+            tied = comb(sum(v > a[0] for v in rest), i)  # min A < min B
+            return tied + sum(comb(n - i, j) for j in range(i + 1, (n - i) // 3 + 1))
 
+        h = star_hypergraph(n, 4)
+        skipped = sum(
+            b_guesses(a)
+            for i in range(1, n // 4 + 1)
+            for a in combinations(range(n), i)
+            if reference_link_covers(h, a, 3)
+        )
+        assert skipped == (3 if n == 8 else 0)
+        assert nrc4_guesses(n) == guesses
+        assert not nrc4(h).found
+        assert completions[0] == guesses - skipped
+
+    # nrc3 skips the A's that hold a node whose own link covers every pair:
+    # every node of a complete 3-uniform hypergraph, no node of a star
     @pytest.mark.parametrize(
         "n,guesses", [(6, 21), (7, 28), (8, 36), (9, 129), (10, 175)]
     )
     def test_nrc3_count_equals_exhaustive_scan(self, completions, n, guesses):
-        h = Hypergraph(n, tuple(combinations(range(n), 3)))
+        from decisive.bounds import star_hypergraph
+
         assert nrc3_guesses(n) == guesses
-        assert not nrc3(h).found
-        assert completions[0] == guesses
+        complete = Hypergraph(n, tuple(combinations(range(n), 3)))
+        for h, dead_count in ((complete, n), (star_hypergraph(n, 3), 0)):
+            dead = {v for v in range(n) if reference_link_covers(h, (v,), 2)}
+            assert len(dead) == dead_count
+            skipped = sum(
+                1
+                for i in range(1, n // 3 + 1)
+                for a in combinations(range(n), i)
+                if dead & set(a)
+            )
+            completions[0] = 0
+            assert not nrc3(h).found
+            assert completions[0] == guesses - skipped
+
+    def test_grouped_miss_kernel_makes_no_completion(self, completions):
+        # taxon i in group i mod 15, locus j drops group j: a 15-row kernel
+        # in which every triple lies in an edge through any one node
+        p = CoveragePattern.from_sets(
+            [f"t{i}" for i in range(45)],
+            [(f"L{j}", [i for i in range(45) if i % 15 != j]) for j in range(15)],
+        )
+        kernel = reduce_pattern(p).searched
+        assert kernel.n_reduced == 15
+        assert not nrc4(kernel.hypergraph).found
+        assert completions[0] == 0
 
     def test_default_budget_admits_18_nodes_and_refuses_19(self):
         assert nrc4_guesses(18) == 6492147 <= DEFAULT_SEARCH_CAP
@@ -385,7 +427,9 @@ class TestGuessBudget:
         nrc3(Hypergraph(6, ((0, 1, 2),)), guess_cap=100)
         assert [r.getMessage() for r in caplog.records] == [
             "4-NRC search: 9 nodes, at most 666 guesses, budget 10000000",
+            "4-NRC search: 9 of 9 nodes pass the link screen",
             "3-NRC search: 6 nodes, at most 21 guesses, budget 100",
+            "3-NRC search: 6 of 6 nodes pass the link screen",
         ]
         assert all(
             r.name == "decisive.nrc" and r.levelno == logging.DEBUG
@@ -397,11 +441,11 @@ class TestGuessBudget:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(nrc_module.multiprocessing, "Process", no_pool)
-        h = planted(random.Random(1), (2, 2, 3, 3))
+        h = planted(random.Random(1), (2, 3, 3, 3))
         assert nrc4_guesses(h.node_count) < POOL_MIN_GUESSES
         out = nrc4(h, parallel=True)
         assert out == nrc4(h) and verify_no_rainbow(h, out.witness)
-        big = planted(random.Random(1), (2, 3, 3, 3))
+        big = planted(random.Random(1), (3, 3, 3, 3))
         assert nrc4_guesses(big.node_count) >= POOL_MIN_GUESSES
         with pytest.raises(AssertionError, match="a pool was started"):
             nrc4(big, parallel=True)

@@ -1,15 +1,27 @@
 """The decision pipeline and the greedy decisive-subset heuristic."""
 
+import importlib
 import random
 import time
 from itertools import combinations
 
 import pytest
 
-from conftest import duplicated_pattern, planted_pattern, random_pattern
+from conftest import (
+    duplicated_pattern,
+    planted_pattern,
+    random_pattern,
+    reference_link_covers,
+)
 from decisive import bounds
 from decisive.bounds import lower_bound_screen
-from decisive.core import Coloring, CoveragePattern, build_hypergraph, verify_no_rainbow
+from decisive.core import (
+    Coloring,
+    CoveragePattern,
+    Hypergraph,
+    build_hypergraph,
+    verify_no_rainbow,
+)
 from decisive.errors import SizeLimitError
 from decisive.nrc import nrc4
 from decisive.oracle import brute_force_nrc
@@ -27,6 +39,9 @@ from decisive.pipeline import (
     partition_from_coloring,
 )
 from decisive.reduction import fpt_nrc4, reduce_pattern
+
+# the package exports a function named nrc, which hides the module attribute
+nrc_module = importlib.import_module("decisive.nrc")
 
 
 def make_pattern(loci: list[list[int]], n: int) -> CoveragePattern:
@@ -315,6 +330,98 @@ class TestDominatedLoci:
                 and ri.searched.n_reduced < ri.n_reduced
             )
         assert shrunk >= 10  # the search ran on a smaller kernel
+
+
+def grouped_miss(rng: random.Random, n: int, groups: int, pure: int, k: int):
+    """Taxa in ``groups`` nonempty random groups; locus j drops group
+    j mod groups, and from locus ``pure`` on also one random taxon or one
+    more group.  Pure loci for five distinct groups make it decisive."""
+    group = list(range(groups)) + [rng.randrange(groups) for _ in range(n - groups)]
+    rng.shuffle(group)
+    dropped = []
+    for j in range(k):
+        d = {i for i in range(n) if group[i] == j % groups}
+        if j >= pure:
+            if rng.random() < 0.5:
+                d.add(rng.randrange(n))
+            else:
+                extra = rng.randrange(groups)
+                d |= {i for i in range(n) if group[i] == extra}
+        dropped.append(d)
+    return missing_groups(n, dropped)
+
+
+def residue(rng: random.Random, n: int) -> CoveragePattern:
+    """Taxon i in group i mod g for some g >= 5, locus j drops group j:
+    decisive."""
+    g = rng.randint(5, n)
+    return missing_groups(n, [{i for i in range(n) if i % g == j} for j in range(g)])
+
+
+def link_screen_fires(h: Hypergraph) -> bool:
+    """nrc4 on h skips a rarest class A: its link covers every triple."""
+    n = h.node_count
+    return any(
+        reference_link_covers(h, a, 3)
+        for i in range(1, n // 4 + 1)
+        for a in combinations(range(n), i)
+    )
+
+
+def screened_search(p: CoveragePattern) -> bool:
+    """decide searches the kernel of p, and nrc4 skips a guess both there
+    and on the taxa."""
+    kernel = reduce_pattern(p).searched
+    return (
+        decide(p).decided_by in (DECIDED_FPT, DECIDED_DIRECT)
+        and link_screen_fires(kernel.hypergraph)
+        and link_screen_fires(build_hypergraph(p))
+    )
+
+
+class TestLinkScreen:
+    """Patterns whose search skips rarest classes with a link that covers
+    every triple: the engines still agree with the oracle, n <= 9."""
+
+    FAMILIES = {
+        "residue": lambda rng: residue(rng, rng.randint(7, 9)),
+        "grouped-miss": lambda rng: grouped_miss(
+            rng, rng.randint(7, 9), rng.randint(4, 6), rng.randint(3, 5),
+            rng.randint(6, 9),
+        ),
+        "nested-loci": lambda rng: nested_pattern(rng, rng.random() < 0.5),
+        "planted": lambda rng: planted_pattern(rng, n_range=(8, 9)),
+    }
+
+    @pytest.fixture(scope="class")
+    def screened(self):
+        rng = random.Random("link-screen")
+        out = {}
+        for family, make in self.FAMILIES.items():
+            out[family] = []
+            while len(out[family]) < 6:
+                p = make(rng)
+                if screened_search(p):
+                    out[family].append(p)
+        return out
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_engines_agree_with_the_oracle(self, screened, family):
+        for p in screened[family]:
+            assert_engines_agree(p)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_parallel_search_gives_the_sequential_verdict(
+        self, monkeypatch, screened, family
+    ):
+        monkeypatch.setattr(nrc_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(nrc_module, "POOL_MIN_GUESSES", 0)
+        for p in screened[family]:
+            h = build_hypergraph(p)
+            out = nrc4(h, parallel=True)
+            assert out.found == nrc4(h).found
+            if out.found:
+                assert verify_no_rainbow(h, out.witness)
 
 
 class TestDecisiveSubset:
