@@ -17,6 +17,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, bounds, emit, oracle, pipeline, reduction
 from .nrc import DEFAULT_SEARCH_CAP, nrc
 from .core import Coloring, CoveragePattern, Hypergraph, build_hypergraph
@@ -61,6 +63,10 @@ def parse_pattern_file(path: str, fmt: str) -> CoveragePattern:
     return parse_pattern_text(_read_text(path), fmt)
 
 
+# the two cell values; other cells are stripped of padding and checked again
+_BITS = frozenset(("0", "1"))
+
+
 def _parse_matrix_csv(text: str) -> CoveragePattern:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -72,27 +78,38 @@ def _parse_matrix_csv(text: str) -> CoveragePattern:
     locus_names = [cell.strip() for cell in rows[0][1:]]
     if not locus_names:
         raise InputFormatError("line 1: header names no loci")
+    # Errors name a line and a cell, so the cells are checked row by row, in
+    # file order; the loci are columns, so the checked cells are read column
+    # by column from one byte matrix.
+    k = len(locus_names)
     taxa: list[str] = []
-    members: list[list[int]] = [[] for _ in locus_names]
+    cells: list[str] = []  # each row's cells joined, k characters of 0 and 1
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != len(locus_names) + 1:
+        if len(row) != k + 1:
             raise InputFormatError(
-                f"line {lineno}: expected {len(locus_names) + 1} cells, got {len(row)}"
+                f"line {lineno}: expected {k + 1} cells, got {len(row)}"
             )
+        bits = row[1:]
+        if not _BITS.issuperset(bits):
+            bits = [cell.strip() for cell in bits]
+            for j, cell in enumerate(bits):
+                if cell not in _BITS:
+                    raise InputFormatError(
+                        f"line {lineno}: cell {j + 2} must be 0 or 1, got {cell!r}"
+                    )
         taxa.append(row[0].strip())
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell not in ("0", "1"):
-                raise InputFormatError(
-                    f"line {lineno}: cell {j + 2} must be 0 or 1, got {cell!r}"
-                )
-            if cell == "1":
-                members[j].append(len(taxa) - 1)
+        cells.append("".join(bits))
+    matrix = np.frombuffer("".join(cells).encode(), dtype=np.uint8)
+    columns = (matrix.reshape(len(taxa), k) == ord("1")).T
     try:
-        return CoveragePattern.from_sets(
-            taxa, [(name, subset) for name, subset in zip(locus_names, members)]
+        return CoveragePattern(
+            tuple(taxa),
+            tuple(
+                (name, tuple(np.flatnonzero(column).tolist()))
+                for name, column in zip(locus_names, columns)
+            ),
         )
     except DecisiveError as exc:
         raise InputFormatError(str(exc)) from exc

@@ -197,22 +197,40 @@ def uncovered_set(rows: Sequence[int], size: int) -> Optional[tuple[int, ...]]:
     j), so the result is the first ``size``-set that no edge contains, or
     None.  Only the first ``size`` copies of each distinct row are scanned: a
     later copy can always be swapped for an earlier one missing from the set,
-    which gives the same AND and a lexicographically smaller set.
+    which gives the same AND and a lexicographically smaller set.  The same
+    swap shows that the first set is copy-closed: with the m-th copy of a row
+    it holds the earlier copies too.  So a position joins a partial set only
+    when the previous copy of its row is already in it: with c copies kept of
+    each of d distinct rows, the outer levels range over about
+    C(d + size - 2, size - 1) partial sets instead of C(c * d, size - 1).  The
+    innermost level does not check, as that would save no call: the scan
+    still reaches every copy-closed set in lexicographic order, so the first
+    set it finds is the first of all.
     """
     if size < 1:
         raise InvalidInstanceError(f"set size must be positive, got {size}")
-    seen: dict[int, int] = {}
+    last: dict[int, int] = {}  # row -> kept position of its latest copy
+    copies: dict[int, int] = {}
     keep: list[int] = []
+    needs: list[int] = []  # bit of the kept position of the previous copy, or 0
     for i, row in enumerate(rows):
-        copies = seen.get(row, 0)
-        if copies < size:
-            seen[row] = copies + 1
+        count = copies.get(row, 0)
+        if count < size:
+            copies[row] = count + 1
+            needs.append(1 << last[row] if count else 0)
+            last[row] = len(keep)
             keep.append(i)
-    return _first_zero_and([rows[i] for i in keep], keep, 0, size, -1)
+    return _first_zero_and([rows[i] for i in keep], keep, needs, 0, size, -1, 0)
 
 
 def _first_zero_and(
-    kept_rows: list[int], keep: list[int], start: int, size: int, acc: int
+    kept_rows: list[int],
+    keep: list[int],
+    needs: list[int],
+    start: int,
+    size: int,
+    acc: int,
+    chosen: int,
 ) -> Optional[tuple[int, ...]]:
     # the innermost level stays an inline loop: it runs O(n^size) times
     if size == 1:
@@ -220,8 +238,14 @@ def _first_zero_and(
             if acc & kept_rows[p] == 0:
                 return (keep[p],)
         return None
+    missing = ~chosen
     for p in range(start, len(keep) - size + 1):
-        rest = _first_zero_and(kept_rows, keep, p + 1, size - 1, acc & kept_rows[p])
+        if needs[p] & missing:
+            continue  # the previous copy of this row is not in the set
+        rest = _first_zero_and(
+            kept_rows, keep, needs, p + 1, size - 1,
+            acc & kept_rows[p], chosen | 1 << p,
+        )
         if rest is not None:
             return (keep[p],) + rest
     return None

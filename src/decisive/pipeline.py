@@ -17,6 +17,7 @@ four-block partition witness that is re-checked before being returned.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,6 +29,8 @@ from .nrc import DEFAULT_SEARCH_CAP
 
 # unused here, but perfbench/tracing.py binds pipeline.nrc4
 from .nrc import nrc4  # noqa: F401
+
+log = logging.getLogger(__name__)
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -97,8 +100,25 @@ def decide(
     fewer rows than the pattern has taxa, "direct-search" when it is the input
     itself.  ``search_cap`` is the guess budget of the search (see
     ``nrc.nrc4_guesses``); a search over it raises SizeLimitError before it
-    starts.
+    starts.  Each verdict is logged at debug level with its stage, the
+    pattern's size, the kernel's row count and the elapsed time.
     """
+    verdict, kernel_rows = _decide(pattern, search_cap, parallel)
+    log.debug(
+        "decide: %s, n=%d, k=%d, kernel rows %s, %.6f s",
+        verdict.decided_by,
+        pattern.n,
+        pattern.k,
+        "not built" if kernel_rows is None else kernel_rows,
+        verdict.stats["elapsed_s"],
+    )
+    return verdict
+
+
+def _decide(
+    pattern: CoveragePattern, search_cap: int, parallel: bool
+) -> tuple[Verdict, Optional[int]]:
+    """The verdict, and the row count of the kernel if one was built."""
     start = time.perf_counter()
 
     def stats(**extra) -> dict:
@@ -108,29 +128,33 @@ def decide(
     # no partition into four nonempty blocks exists, so the four-way
     # partition property holds vacuously
     if n <= 3:
-        return Verdict(True, None, DECIDED_TRIVIAL_SMALL, stats())
+        return Verdict(True, None, DECIDED_TRIVIAL_SMALL, stats()), None
 
     full = tuple(range(n))
     if any(members == full for _name, members in pattern.loci):
-        return Verdict(True, None, DECIDED_FULL_LOCUS, stats())
+        return Verdict(True, None, DECIDED_FULL_LOCUS, stats()), None
 
     ri = reduction.reduce_pattern(pattern)
+    kernel_rows = ri.matrix.n
     witness = reduction.zero_and_screen(ri)
     if witness is not None:
-        return _non_decisive(pattern, witness, DECIDED_TRIPLE_GAP, stats())
+        verdict = _non_decisive(pattern, witness, DECIDED_TRIPLE_GAP, stats())
+        return verdict, kernel_rows
 
     # a taxon in every locus: with every triple covered, the rooted case is
     # decisive
     if (1 << pattern.k) - 1 in ri.matrix.rows:
-        return Verdict(True, None, DECIDED_ROOTED, stats())
+        return Verdict(True, None, DECIDED_ROOTED, stats()), kernel_rows
 
     outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
     engine = DECIDED_FPT if ri.searched.spares else DECIDED_DIRECT
     if outcome.found:
-        return _non_decisive(
+        verdict = _non_decisive(
             pattern, outcome.witness, engine, stats(rule=outcome.rule)
         )
-    return Verdict(True, None, engine, stats(rule=outcome.rule))
+    else:
+        verdict = Verdict(True, None, engine, stats(rule=outcome.rule))
+    return verdict, kernel_rows
 
 
 def _coverage_counts(pattern: CoveragePattern) -> list[int]:

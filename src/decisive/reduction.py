@@ -90,8 +90,9 @@ def incidence_matrix(pattern: CoveragePattern) -> IncidenceMatrix:
     """Exact bit matrix in taxon/locus input order."""
     rows = [0] * pattern.n
     for j, (_name, members) in enumerate(pattern.loci):
+        bit = 1 << j
         for i in members:
-            rows[i] |= 1 << j
+            rows[i] |= bit
     return IncidenceMatrix(pattern.n, pattern.k, tuple(rows))
 
 

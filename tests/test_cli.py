@@ -75,6 +75,54 @@ class TestFormats:
         with pytest.raises(InputFormatError):
             parse_pattern_text("taxon,L1,L2\na,1\n", "matrix-csv")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("taxon,L1,L2\na,1,2\nb,1\n",
+             "line 2: cell 3 must be 0 or 1, got '2'"),
+            ("taxon,L1,L2\na,1\nb,1,2\n", "line 2: expected 3 cells, got 2"),
+            # within a row, the width is checked before any cell
+            ("taxon,L1,L2\na,x,1,0\n", "line 2: expected 3 cells, got 4"),
+            # the first bad cell of a row, stripped of its padding
+            ("taxon,L1,L2,L3\na,1, x , y\n", "line 2: cell 3 must be 0 or 1, got 'x'"),
+            ("taxon,L1\n\n \nb, 1 \nc,\n", "line 5: cell 2 must be 0 or 1, got ''"),
+        ],
+        ids=["cell-then-width", "width-then-cell", "width-in-row", "first-cell",
+             "blank-rows-counted"],
+    )
+    def test_first_matrix_error_wins(self, text, message):
+        with pytest.raises(InputFormatError) as info:
+            parse_pattern_text(text, "matrix-csv")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text", ["taxon,L1,L2\n", "taxon,L1,L2\n\n \n\t\n", "taxon,L1,L2\r\n\r\n"]
+    )
+    def test_matrix_without_taxa_rejected(self, text):
+        with pytest.raises(InputFormatError) as info:
+            parse_pattern_text(text, "matrix-csv")
+        assert str(info.value) == "locus 'L1' covers no taxa"
+
+    def test_empty_and_locus_free_matrix_rejected(self):
+        with pytest.raises(InputFormatError, match="^line 1: empty matrix file$"):
+            parse_pattern_text("", "matrix-csv")
+        with pytest.raises(InputFormatError, match="^line 1: header names no loci$"):
+            parse_pattern_text("taxon\na\n", "matrix-csv")
+
+    def test_large_matrix_matches_from_sets(self):
+        rng = random.Random(11)
+        n, k = 1_000, 50
+        loci = [
+            [i for i in range(n) if rng.random() < rng.uniform(0.05, 0.95)]
+            or [rng.randrange(n)]
+            for _ in range(k)
+        ]
+        p = CoveragePattern.from_sets(
+            [f"taxon_{i}" for i in range(n)],
+            [(f"locus_{j}", members) for j, members in enumerate(loci)],
+        )
+        assert parse_pattern_text(pattern_to_matrix_csv(p), "matrix-csv") == p
+
     def test_missing_colon_rejected(self):
         with pytest.raises(InputFormatError):
             parse_pattern_text("L1 a b\n", "locus-list")
@@ -159,8 +207,8 @@ EDGE_LIST_BYTES = st.one_of(
 )
 
 
-# small well-formed patterns in either format, so most examples parse
-PATTERN_FILES = st.integers(1, 10).flatmap(
+# small well-formed patterns
+PATTERNS = st.integers(1, 10).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
         min_size=1,
@@ -171,7 +219,9 @@ PATTERN_FILES = st.integers(1, 10).flatmap(
             [(f"L{j}", members) for j, members in enumerate(loci)],
         )
     )
-).flatmap(
+)
+# ...in either format, so most examples parse
+PATTERN_FILES = PATTERNS.flatmap(
     lambda p: st.sampled_from(
         [(pattern_to_matrix_csv(p), "matrix-csv"),
          (pattern_to_locus_list(p), "locus-list")]
@@ -202,6 +252,20 @@ class TestParserProperties:
         # a locus list cannot hold a taxon that is in no locus
         if fmt == "locus-list":
             assert parse_pattern_text(pattern_to_locus_list(p), "locus-list") == p
+
+    @given(PATTERNS, st.sampled_from(["\n", "\r\n"]), st.data())
+    def test_padded_matrix_parses_like_clean(self, p, newline, data):
+        padding = st.sampled_from(["", " ", "\t", "  ", " \t "])
+        clean = pattern_to_matrix_csv(p)
+        padded = "".join(
+            ",".join(
+                data.draw(padding) + cell + data.draw(padding)
+                for cell in line.split(",")
+            ) + newline
+            for line in clean.splitlines()
+        )
+        assert parse_pattern_text(padded, "matrix-csv") == p
+        assert parse_pattern_text(clean, "matrix-csv") == p
 
     @given(EDGE_LIST_BYTES)
     @example(b"nodes " + b"9" * 5000)  # more digits than int() converts

@@ -1,5 +1,6 @@
 """Core types, components, and the rainbow checker."""
 
+import random
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -7,6 +8,7 @@ from operator import and_
 import pytest
 from hypothesis import given, strategies as st
 
+from decisive import core
 from decisive.core import (
     Coloring,
     CoveragePattern,
@@ -127,10 +129,16 @@ class TestRainbow:
 
 class TestUncoveredSet:
     @given(
-        st.integers(2, 3),
-        st.integers(1, 4).flatmap(
-            # few loci over many taxa: heavy duplication and all-zero rows
-            lambda k: st.lists(st.integers(0, (1 << k) - 1), max_size=16)
+        st.integers(1, 3),
+        st.one_of(
+            st.integers(1, 4).flatmap(
+                # few loci over many taxa: heavy duplication and all-zero rows
+                lambda k: st.lists(st.integers(0, (1 << k) - 1), max_size=16)
+            ),
+            # many copies of at most 4 distinct rows
+            st.lists(
+                st.integers(0, 15), min_size=1, max_size=4, unique=True
+            ).flatmap(lambda values: st.lists(st.sampled_from(values), max_size=40)),
         ),
     )
     def test_matches_lex_first_combination(self, size, rows):
@@ -146,6 +154,46 @@ class TestUncoveredSet:
         assert uncovered_set([0b01, 0b01, 0b01, 0b10], 2) == (0, 3)
         assert uncovered_set([0, 0, 0], 3) == (0, 1, 2)
         assert uncovered_set([0b11, 0b11, 0b11, 0b11], 3) is None
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_scan_counts_only_copy_closed_sets(self, monkeypatch, shuffled):
+        # the rows of a 300-taxon, 45-locus rooted residue pattern: taxon 0
+        # is in every locus, taxon i >= 1 misses locus i mod 45, and every
+        # triple is covered, so the scan runs to the end
+        full = (1 << 45) - 1
+        rows = [full] + [full & ~(1 << i % 45) for i in range(1, 300)]
+        if shuffled:
+            random.Random(3).shuffle(rows)
+        # the scan keeps the first 3 copies of each row; a partial set is
+        # extended only while it holds the earlier kept copies of each row in
+        # it, and only by positions that leave room for the rest of the set
+        kept = [i for i, row in enumerate(rows) if rows[:i].count(row) < 3]
+        earlier = [
+            {q for q in range(p) if rows[kept[q]] == rows[kept[p]]}
+            for p in range(len(kept))
+        ]
+        expected = 1 + sum(
+            1
+            for m in (1, 2)
+            for t in combinations(range(len(kept)), m)
+            if t[-1] <= len(kept) - 3 + m - 1
+            and all(earlier[p] <= set(t) for p in t)
+        )
+        calls = [0]
+        scan = core._first_zero_and
+
+        def counted(*args):
+            calls[0] += 1
+            return scan(*args)
+
+        monkeypatch.setattr(core, "_first_zero_and", counted)
+        assert uncovered_set(rows, 3) is None
+        assert calls[0] == expected
+        if not shuffled:
+            # the top call; one per first copy (46); one per pair of taxon 0
+            # and a first copy (45); and from the i-th first copy, one per
+            # later first copy and one for its own second copy (46 - i)
+            assert expected == 1 + 46 + 45 + 45 * 46 // 2
 
     def test_size_must_be_positive(self):
         with pytest.raises(InvalidInstanceError):

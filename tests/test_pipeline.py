@@ -1,7 +1,9 @@
 """The decision pipeline and the greedy decisive-subset heuristic."""
 
 import importlib
+import logging
 import random
+import re
 import time
 from itertools import combinations
 
@@ -149,6 +151,31 @@ class TestDecideEngines:
     def test_stats_have_timing(self):
         v = decide(make_pattern([[0, 1, 2, 3]], 4))
         assert v.stats["elapsed_s"] >= 0
+
+    def test_each_decide_logs_one_line(self, caplog):
+        # every 4-set of 6 taxa: searched directly, and with a copy of the
+        # last taxon, searched on its 6-row kernel
+        quads = [list(q) for q in combinations(range(6), 4)]
+        rooted = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4]]
+        cases = [
+            ([[0, 1, 2]], 3, "trivial-small-n, n=3, k=1, kernel rows not built"),
+            ([[0, 1, 2, 3, 4]], 5, "full-locus, n=5, k=1, kernel rows not built"),
+            ([[0, 1, 2], [1, 2, 3]], 4, "triple-gap, n=4, k=2, kernel rows 3"),
+            (rooted, 5, "rooted, n=5, k=4, kernel rows 5"),
+            (quads, 6, "direct-search, n=6, k=15, kernel rows 6"),
+            ([q + [6] if 5 in q else q for q in quads], 7,
+             "fpt, n=7, k=15, kernel rows 6"),
+        ]
+        caplog.set_level(logging.DEBUG, logger="decisive.pipeline")
+        for loci, n, _ in cases:
+            decide(make_pattern(loci, n))
+        assert len(caplog.records) == len(cases)
+        for record, (_, _, fields) in zip(caplog.records, cases):
+            assert record.name == "decisive.pipeline"
+            assert record.levelno == logging.DEBUG
+            assert re.fullmatch(
+                rf"decide: {fields}, \d+\.\d{{6}} s", record.getMessage()
+            )
 
 
 class TestWithoutQuadrupleBound:
