@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -207,7 +208,7 @@ def parse_hypergraph_file(path: str) -> Hypergraph:
 
 
 # --------------------------------------------------------------------------
-# reports
+# subcommands: each returns its exit code and its report fields
 # --------------------------------------------------------------------------
 
 
@@ -217,35 +218,10 @@ def _witness_names(pattern, blocks) -> Optional[list[list[str]]]:
     return [[pattern.taxa[i] for i in block] for block in blocks]
 
 
-def _base_report(command: str) -> dict:
-    return {"tool": "decisive", "version": __version__, "command": command}
-
-
-def _emit_report(report: dict, args) -> None:
-    if args.report == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [f"{key}: {json.dumps(value)}" for key, value in sorted(report.items())]
-        text = "\n".join(lines) + "\n"
-    if args.command in ("emit-ilp", "emit-cnf"):
-        # --out holds the model; without it the model alone goes to stdout
-        (sys.stdout if args.out else sys.stderr).write(text)
-    elif args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-# --------------------------------------------------------------------------
-# subcommands
-# --------------------------------------------------------------------------
-
-
 def _cmd_check(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
     verdict = pipeline.decide(pattern, args.search_cap, args.parallel)
-    report = _base_report("check")
-    report.update(
+    return (EXIT_NO_WITNESS if verdict.decisive else EXIT_WITNESS), dict(
         verdict={
             "decisive": verdict.decisive,
             "decided_by": verdict.decided_by,
@@ -253,7 +229,6 @@ def _cmd_check(args) -> tuple[int, dict]:
         },
         timings={"elapsed_s": verdict.stats.get("elapsed_s")},
     )
-    return (EXIT_NO_WITNESS if verdict.decisive else EXIT_WITNESS), report
 
 
 def _load_hypergraph(args) -> Hypergraph:
@@ -270,27 +245,23 @@ def _cmd_nrc(args) -> tuple[int, dict]:
     h = _load_hypergraph(args)
     start = time.perf_counter()
     outcome = nrc(h, args.r, guess_cap=args.search_cap, parallel=args.parallel)
-    report = _base_report("nrc")
-    report.update(
+    return (EXIT_WITNESS if outcome.found else EXIT_NO_WITNESS), dict(
         r=args.r,
         rule=outcome.rule,
         witness=_coloring_json(outcome.witness),
         timings={"elapsed_s": time.perf_counter() - start},
     )
-    return (EXIT_WITNESS if outcome.found else EXIT_NO_WITNESS), report
 
 
 def _cmd_oracle(args) -> tuple[int, dict]:
     h = _load_hypergraph(args)
     start = time.perf_counter()
     witness = oracle.brute_force_nrc(h, args.r, node_cap=args.oracle_cap)
-    report = _base_report("oracle")
-    report.update(
+    return (EXIT_WITNESS if witness is not None else EXIT_NO_WITNESS), dict(
         r=args.r,
         witness=_coloring_json(witness),
         timings={"elapsed_s": time.perf_counter() - start},
     )
-    return (EXIT_WITNESS if witness is not None else EXIT_NO_WITNESS), report
 
 
 def _cmd_reduce(args) -> tuple[int, dict]:
@@ -299,8 +270,7 @@ def _cmd_reduce(args) -> tuple[int, dict]:
     kept = 0  # loci left after dropping the dominated ones
     for row in ri.searched.matrix.rows:
         kept |= row
-    report = _base_report("reduce")
-    report.update(
+    return EXIT_NO_WITNESS, dict(
         n=pattern.n,
         k=pattern.k,
         n_reduced=ri.n_reduced,
@@ -318,86 +288,85 @@ def _cmd_reduce(args) -> tuple[int, dict]:
         ],
         search_rows=ri.searched.n_reduced,
     )
-    return EXIT_NO_WITNESS, report
 
 
 def _cmd_bound(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
-    br = bounds.bound_report(pattern)
-    report = _base_report("bound")
-    report.update(
-        n=br.n,
-        k=br.k,
-        quadruple_count=br.quadruple_count,
-        threshold=br.threshold,
-        below_threshold=br.quadruple_count < br.threshold,
-        triple_coverage_ok=br.triple_coverage_ok,
+    fields = asdict(bounds.bound_report(pattern))
+    triple, root = fields["first_uncovered_triple"], fields["common_taxon"]
+    fields.update(
+        below_threshold=fields["quadruple_count"] < fields["threshold"],
         first_uncovered_triple=(
-            None
-            if br.first_uncovered_triple is None
-            else [pattern.taxa[i] for i in br.first_uncovered_triple]
+            None if triple is None else [pattern.taxa[i] for i in triple]
         ),
-        rooted=br.rooted,
-        common_taxon=None if br.common_taxon is None else pattern.taxa[br.common_taxon],
+        common_taxon=None if root is None else pattern.taxa[root],
     )
-    return EXIT_NO_WITNESS, report
+    return EXIT_NO_WITNESS, fields
 
 
 def _cmd_emit_ilp(args) -> tuple[int, dict]:
-    pattern = parse_pattern_file(args.input, args.format)
-    model = emit.emit_ilp(pattern)
-    text = model.to_lp_text()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    report = _base_report("emit-ilp")
-    report.update(
+    model = emit.emit_ilp(parse_pattern_file(args.input, args.format))
+    _write(model.to_lp_text(), args.out)
+    return EXIT_NO_WITNESS, dict(
         rows=model.num_rows,
         columns=model.num_columns,
         nonzeros=model.num_nonzeros,
         out=args.out,
     )
-    return EXIT_NO_WITNESS, report
 
 
 def _cmd_emit_cnf(args) -> tuple[int, dict]:
-    h = _load_hypergraph(args)
-    formula = emit.emit_cnf(h)
-    text = formula.to_dimacs()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    report = _base_report("emit-cnf")
-    report.update(
+    formula = emit.emit_cnf(_load_hypergraph(args))
+    _write(formula.to_dimacs(), args.out)
+    return EXIT_NO_WITNESS, dict(
         variables=formula.num_vars, clauses=len(formula.clauses), out=args.out
     )
-    return EXIT_NO_WITNESS, report
 
 
 def _cmd_subset(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
-
-    def decider(p):
-        return pipeline.decide(p, args.search_cap, args.parallel)
-
-    trace = pipeline.decisive_subset(pattern, decider)
-    report = _base_report("subset")
-    report.update(
+    trace = pipeline.decisive_subset(
+        pattern, lambda p: pipeline.decide(p, args.search_cap, args.parallel)
+    )
+    return EXIT_NO_WITNESS, dict(
         removals=[{"taxon": name, "coverage": cov} for name, cov in trace.removals],
         final_taxa=list(trace.final_taxa),
         final_decided_by=trace.final_verdict.decided_by,
     )
-    return EXIT_NO_WITNESS, report
 
 
 # --------------------------------------------------------------------------
-# argument parsing and entry point
+# argument parsing, output and entry point
 # --------------------------------------------------------------------------
 
+_PATTERN_FORMATS = ("matrix-csv", "locus-list")
+_GRAPH_FORMATS = ("matrix-csv", "locus-list", "edge-list")
 
-_SOLVER_FLAGS = {
+# name: (handler, help, input formats, flags beyond the common ones)
+_COMMANDS = {
+    "check": (_cmd_check, "decide decisiveness", _PATTERN_FORMATS,
+              ("--search-cap", "--parallel")),
+    "nrc": (_cmd_nrc, "run a raw no-rainbow search", _GRAPH_FORMATS,
+            ("--r", "--search-cap", "--parallel")),
+    "oracle": (_cmd_oracle, "brute-force no-rainbow search", _GRAPH_FORMATS,
+               ("--r", "--oracle-cap")),
+    "reduce": (_cmd_reduce, "kernelize and report", _PATTERN_FORMATS, ()),
+    "bound": (_cmd_bound, "coverage bound report", _PATTERN_FORMATS, ()),
+    "emit-ilp": (_cmd_emit_ilp, "write the LP model", _PATTERN_FORMATS, ()),
+    "emit-cnf": (_cmd_emit_cnf, "write the DIMACS model", _GRAPH_FORMATS, ()),
+    "subset": (_cmd_subset, "greedy decisive subset", _PATTERN_FORMATS,
+               ("--search-cap", "--parallel")),
+}
+
+# Every flag, in the order the help lists them. A subcommand takes --input,
+# --format (its choices are the entry's input formats), --out and --report,
+# and of the others those its table entry names.
+_FLAGS = {
+    "--r": {"type": int, "choices": (2, 3, 4), "default": 4},
+    "--input": {"required": True, "help": "input file path"},
+    "--format": {"help": "input file format"},
+    "--out": {"help": "output path"},
+    "--report": {"choices": ("json", "text"), "default": "json"},
     "--oracle-cap": {"type": int, "default": oracle.DEFAULT_NODE_CAP},
     "--search-cap": {
         "type": int,
@@ -407,22 +376,6 @@ _SOLVER_FLAGS = {
     },
     "--parallel": {"action": "store_true"},
 }
-_SEARCH_FLAGS = ("--search-cap", "--parallel")
-
-
-def _add_common(
-    parser: argparse.ArgumentParser,
-    formats: tuple[str, ...],
-    solver_flags: tuple[str, ...] = (),
-) -> None:
-    parser.add_argument("--input", required=True, help="input file path")
-    parser.add_argument(
-        "--format", choices=formats, default=formats[0], help="input file format"
-    )
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--report", choices=("json", "text"), default="json")
-    for flag in solver_flags:
-        parser.add_argument(flag, **_SOLVER_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,66 +385,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pattern_formats = ("matrix-csv", "locus-list")
-    graph_formats = ("matrix-csv", "locus-list", "edge-list")
-
-    p_check = sub.add_parser("check", help="decide decisiveness")
-    _add_common(p_check, pattern_formats, _SEARCH_FLAGS)
-    p_nrc = sub.add_parser("nrc", help="run a raw no-rainbow search")
-    p_nrc.add_argument("--r", type=int, choices=(2, 3, 4), default=4)
-    _add_common(p_nrc, graph_formats, _SEARCH_FLAGS)
-    p_oracle = sub.add_parser("oracle", help="brute-force no-rainbow search")
-    p_oracle.add_argument("--r", type=int, choices=(2, 3, 4), default=4)
-    _add_common(p_oracle, graph_formats, ("--oracle-cap",))
-    _add_common(sub.add_parser("reduce", help="kernelize and report"), pattern_formats)
-    _add_common(sub.add_parser("bound", help="coverage bound report"), pattern_formats)
-    _add_common(sub.add_parser("emit-ilp", help="write the LP model"), pattern_formats)
-    _add_common(sub.add_parser("emit-cnf", help="write the DIMACS model"), graph_formats)
-    p_subset = sub.add_parser("subset", help="greedy decisive subset")
-    _add_common(p_subset, pattern_formats, _SEARCH_FLAGS)
+    for name, (handler, help_text, formats, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for flag, options in _FLAGS.items():
+            if flag == "--format":
+                options = {**options, "choices": formats, "default": formats[0]}
+            if flag in flags or flag in ("--input", "--format", "--out", "--report"):
+                command.add_argument(flag, **options)
     return parser
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "nrc": _cmd_nrc,
-    "oracle": _cmd_oracle,
-    "reduce": _cmd_reduce,
-    "bound": _cmd_bound,
-    "emit-ilp": _cmd_emit_ilp,
-    "emit-cnf": _cmd_emit_cnf,
-    "subset": _cmd_subset,
-}
+def _set_log_level() -> None:
+    name = os.environ.get("DECISIVE_LOG", "WARNING")
+    level = logging.getLevelName(name.upper())  # an int only for a level's name
+    if not isinstance(level, int):
+        raise InputFormatError(f"DECISIVE_LOG={name!r} names no log level")
+    logging.basicConfig(level=level)
+
+
+def _render(report: dict, style: str) -> str:
+    if style == "text":
+        return "".join(
+            f"{key}: {json.dumps(value)}\n" for key, value in sorted(report.items())
+        )
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _write(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {out}: {exc}") from exc
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    logging.basicConfig(level=os.environ.get("DECISIVE_LOG", "WARNING").upper())
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
+    header = {"tool": "decisive", "version": __version__, "command": args.command}
     try:
-        code, report = _HANDLERS[args.command](args)
-        report["exit_code"] = code
-        _emit_report(report, args)
+        _set_log_level()
+        code, fields = args.handler(args)
+        text = _render({**header, **fields, "exit_code": code}, args.report)
+        # An emit command's model goes to --out, or without it to stdout;
+        # its report then goes to stdout, or to stderr.
+        if args.command.startswith("emit-"):
+            (sys.stdout if args.out else sys.stderr).write(text)
+        else:
+            _write(text, args.out)
         return code
-    except SizeLimitError as exc:
-        _emit_error(args, "size-limit", exc)
-        return EXIT_CAP_EXCEEDED
     except DecisiveError as exc:
-        _emit_error(args, "input", exc)
-        return EXIT_INPUT_ERROR
-
-
-def _emit_error(args, kind: str, exc: Exception) -> None:
-    report = _base_report(getattr(args, "command", "unknown"))
-    report["error"] = {"type": kind, "message": str(exc)}
-    report["exit_code"] = (
-        EXIT_CAP_EXCEEDED if kind == "size-limit" else EXIT_INPUT_ERROR
-    )
-    sys.stderr.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        capped = isinstance(exc, SizeLimitError)
+        code = EXIT_CAP_EXCEEDED if capped else EXIT_INPUT_ERROR
+        error = {"type": "size-limit" if capped else "input", "message": str(exc)}
+        sys.stderr.write(_render({**header, "error": error, "exit_code": code}, "json"))
+        return code
 
 
 def main() -> None:

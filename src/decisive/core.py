@@ -6,6 +6,7 @@ kept only for presentation.  All types here are immutable after construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -30,7 +31,7 @@ class CoveragePattern:
         for name, members in self.loci:
             if not members:
                 raise InvalidInstanceError(f"locus {name!r} covers no taxa")
-            if list(members) != sorted(set(members)):
+            if not all(map(operator.lt, members, members[1:])):
                 raise InvalidInstanceError(
                     f"locus {name!r} must be sorted with no duplicates"
                 )

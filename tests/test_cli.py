@@ -1,6 +1,7 @@
 """Command-line interface: formats, subcommands, reports, exit codes."""
 
 import json
+import logging
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,7 +24,7 @@ from decisive.cli import (
     pattern_to_matrix_csv,
     run,
 )
-from decisive import emit
+from decisive import __version__, emit
 from decisive.core import CoveragePattern, build_hypergraph
 from decisive.errors import InputFormatError, SizeLimitError
 
@@ -638,6 +639,112 @@ class TestReportingCommands:
         assert code == EXIT_NO_WITNESS
         assert report["removals"] == [{"taxon": "t0", "coverage": 1}]
         assert report["final_taxa"] == ["t1", "t2", "t3"]
+
+
+class TestOutput:
+    REDUCE_TEXT = (
+        'command: "reduce"\n'
+        'copy_classes: {"a": ["a", "b"], "c": ["c"], "d": ["d"]}\n'
+        "dominated_loci: []\n"
+        "exit_code: 0\n"
+        "k: 2\n"
+        "n: 4\n"
+        "n_reduced: 3\n"
+        'reduced_rows: ["11", "10", "01"]\n'
+        'representatives: ["a", "c", "d"]\n'
+        "row_count_screen: true\n"
+        "search_rows: 3\n"
+        "spares: 1\n"
+        'tool: "decisive"\n'
+        f'version: "{__version__}"\n'
+    )
+
+    def test_text_report_bytes(self, tmp_path, capsys):
+        f = tmp_path / "p.loci"
+        f.write_text("L1: a b c\nL2: a b d\n")
+        args = ["reduce", "--input", str(f), "--format", "locus-list",
+                "--report", "text"]
+        assert run(args) == EXIT_NO_WITNESS
+        assert tuple(capsys.readouterr()) == (self.REDUCE_TEXT, "")
+        out = tmp_path / "report.txt"
+        assert run(args + ["--out", str(out)]) == EXIT_NO_WITNESS
+        assert tuple(capsys.readouterr()) == ("", "")
+        assert out.read_bytes() == self.REDUCE_TEXT.encode()
+
+    def test_emit_text_report_on_stderr(self, tmp_path, capsys):
+        f = tmp_path / "p.csv"
+        f.write_text(FULL_LOCUS)
+        code = run(["emit-cnf", "--input", str(f), "--format", "matrix-csv",
+                    "--report", "text"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_WITNESS
+        pattern = parse_pattern_text(FULL_LOCUS, "matrix-csv")
+        formula = emit.emit_cnf(build_hypergraph(pattern))
+        assert captured.out == formula.to_dimacs()
+        assert captured.err == (
+            f"clauses: {len(formula.clauses)}\n"
+            'command: "emit-cnf"\n'
+            "exit_code: 0\n"
+            "out: null\n"
+            'tool: "decisive"\n'
+            f"variables: {formula.num_vars}\n"
+            f'version: "{__version__}"\n'
+        )
+
+    @pytest.mark.parametrize("command", ["check", "emit-ilp", "emit-cnf"])
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, schema, command):
+        f = tmp_path / "p.csv"
+        f.write_text(FULL_LOCUS)
+        out = tmp_path / "missing" / "out.txt"
+        code = run([command, "--input", str(f), "--format", "matrix-csv",
+                    "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR and captured.out == ""
+        report = json.loads(captured.err)
+        assert report["exit_code"] == EXIT_INPUT_ERROR
+        assert report["command"] == command
+        assert report["error"]["type"] == "input"
+        assert report["error"]["message"].startswith(f"cannot write {out}: ")
+        jsonschema.validate(report, schema)
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("value", ["bogus", "", "10", "debugg"])
+    def test_unknown_log_level_exit_two(
+        self, tmp_path, capsys, schema, monkeypatch, value
+    ):
+        monkeypatch.setenv("DECISIVE_LOG", value)
+        f = tmp_path / "p.csv"
+        f.write_text(FULL_LOCUS)
+        code = run(["check", "--input", str(f), "--format", "matrix-csv"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR and captured.out == ""
+        report = json.loads(captured.err)
+        assert report["error"] == {
+            "type": "input", "message": f"DECISIVE_LOG={value!r} names no log level"
+        }
+        assert report["exit_code"] == EXIT_INPUT_ERROR
+        jsonschema.validate(report, schema)
+
+    @pytest.mark.parametrize(
+        "value,level",
+        [(None, logging.WARNING), ("debug", logging.DEBUG), ("Info", logging.INFO),
+         ("warn", logging.WARNING), ("ERROR", logging.ERROR),
+         ("critical", logging.CRITICAL), ("notset", logging.NOTSET)],
+    )
+    def test_log_level_names_in_any_case(
+        self, tmp_path, capsys, monkeypatch, value, level
+    ):
+        if value is None:
+            monkeypatch.delenv("DECISIVE_LOG", raising=False)
+        else:
+            monkeypatch.setenv("DECISIVE_LOG", value)
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda level: levels.append(level))
+        f = tmp_path / "p.csv"
+        f.write_text(FULL_LOCUS)
+        assert run(["check", "--input", str(f), "--format", "matrix-csv"]) == 0
+        capsys.readouterr()
+        assert levels == [level]
 
 
 def test_pattern_serializer_column_order():

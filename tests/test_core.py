@@ -45,6 +45,12 @@ class TestCoveragePattern:
         with pytest.raises(InvalidInstanceError):
             CoveragePattern(("a", "b"), (("L", (0, 2)),))
 
+    @pytest.mark.parametrize("members", [(1, 0), (0, 0), (0, 1, 1)])
+    def test_unsorted_or_repeated_members_rejected(self, members):
+        with pytest.raises(InvalidInstanceError) as info:
+            CoveragePattern(("a", "b"), (("L", members),))
+        assert str(info.value) == "locus 'L' must be sorted with no duplicates"
+
 
 class TestHypergraph:
     def test_edges_normalized_and_deduped(self):
