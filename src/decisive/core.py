@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInstanceError
@@ -86,11 +85,6 @@ class Hypergraph:
                 seen.add(e)
                 normalized.append(e)
         object.__setattr__(self, "edges", tuple(normalized))
-
-    @cached_property
-    def edge_masks(self) -> tuple[int, ...]:
-        """Each edge as a node-index bitmask, in edge order."""
-        return tuple(sum(1 << v for v in e) for e in self.edges)
 
 
 @dataclass(frozen=True)

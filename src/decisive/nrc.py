@@ -2,18 +2,22 @@
 
 2-NRC is polynomial (disconnection test).  3- and 4-NRC use bounded subset
 enumeration: guess the rarest color class A (for 4-NRC also the second
-rarest, B), then complete greedily via forced propagation.  4-NRC takes A by
+rarest, B), then complete with a 2-NRC test on the rest.  4-NRC takes A by
 size, then in lexicographic order, and B disjoint from A by size from |A| up,
 in lexicographic order and with min A < min B when |A| = |B|; the
 "lexicographically first" witness is the first in this order.  The
-danger/propagation conditions are stated for edges of arbitrary size, not
-just r-uniform ones, so the solvers are exact on the non-uniform hypergraphs
-that coverage patterns produce:
+completion is stated for edges of arbitrary size, not just r-uniform ones,
+so the solvers are exact on the non-uniform hypergraphs that coverage
+patterns produce:
 
 * after classes 1..(r-2) are fixed, an edge can still become rainbow only if
-  it touches every fixed class and has at least two uncolored nodes;
-* an edge that already sees colors 1..(r-1) forces all of its uncolored nodes
-  to color r-1, since color r inside it would complete a rainbow.
+  it meets every fixed class, and it then is rainbow exactly when it holds
+  nodes of both remaining colors;
+* so the guess completes iff the uncolored nodes are disconnected under
+  those edges.  Class r-1 is the component of the lowest uncolored node, and
+  class r the other uncolored nodes.  The component grows node by node, each
+  node's incidence row tested against the edges the component meets, so a
+  guess costs a few passes over the nodes, whatever the edge count.
 
 A link screen skips rarest classes that cannot complete.  If every
 (r-1)-set of the nodes outside A lies in an edge that meets A, no guess with
@@ -49,7 +53,7 @@ from .errors import InvalidInstanceError, SizeLimitError
 log = logging.getLogger(__name__)
 
 # guesses an exhaustive search may make: nrc4 on 18 nodes makes 6.5e6, and
-# on star_hypergraph(18, 4) took 27 s on a 2-core x86 VM
+# on star_hypergraph(18, 4) takes 26 s of CPU time on a 2-core x86 VM
 DEFAULT_SEARCH_CAP = 10**7
 # A refusal states the exact guess count up to this many (or up to the
 # budget, when that is larger).  Counting further is pointless, takes seconds
@@ -154,29 +158,25 @@ def _link_gap(
     return nodes, common
 
 
-def _search_input(
-    h: Hypergraph, r: int
-) -> tuple[list[int], list[int], list[int]]:
-    """The edges of r or more nodes as masks, each node's incidence row over
-    them, and the live nodes: those whose own link leaves an (r-1)-set
-    uncovered."""
+def _search_input(h: Hypergraph, r: int) -> tuple[list[int], list[int]]:
+    """Each node's incidence row over the edges of r or more nodes, and the
+    live nodes: those whose own link leaves an (r-1)-set uncovered."""
     n = h.node_count
-    kept = [j for j, e in enumerate(h.edges) if len(e) >= r]
-    rows = _incidence_rows(n, [h.edges[j] for j in kept])
-    live = [a for (a,), _ in _screened_guesses(rows, range(n), r - 1, 1)]
+    rows = _incidence_rows(n, [e for e in h.edges if len(e) >= r])
+    live = [a for (a,), _, _ in _screened_guesses(rows, range(n), r - 1, 1)]
     log.debug("%d-NRC search: %d of %d nodes pass the link screen",
               r, len(live), n)
-    return [h.edge_masks[j] for j in kept], rows, live
+    return rows, live
 
 
 def _screened_guesses(
     rows: list[int], live: Sequence[int], size: int, most: int,
     stride: int = 1, offset: int = 0,
-) -> Iterator[tuple[tuple[int, ...], int]]:
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Rarest-class guesses A of 1..``most`` live nodes, by size and then
     lexicographically, every stride-th from ``offset`` on, as the tuple of
-    A's nodes and A's mask.  Skipped is every A whose link leaves no
-    ``size``-set uncovered."""
+    A's nodes, A's mask and the mask of the edges that meet A.  Skipped is
+    every A whose link leaves no ``size``-set uncovered."""
     guesses = chain.from_iterable(
         combinations(live, i) for i in range(1, most + 1)
     )
@@ -195,41 +195,35 @@ def _screened_guesses(
             if gap is None:
                 continue
             gaps.append(gap)
-        yield a, amask
+        yield a, amask, meets
 
 
 def _complete(
-    edges: list[int], last: int, uncolored: int
+    rest: dict[int, int], reach: int, uncolored: int
 ) -> Optional[tuple[int, int]]:
     """Split ``uncolored`` into the classes of the last two colors, or None.
 
-    ``edges`` meet every fixed class but ``last``, the last guessed one; an
-    edge that misses ``last`` can never be rainbow and is skipped.  The first
-    other edge with two or more uncolored nodes must keep them in one color,
-    say r-1.  Any edge that then meets color r-1 forces its uncolored nodes
-    to r-1 too, since color r inside it would complete a rainbow.  The flood's
-    fixpoint is the least class r-1; the guess fails if no node is left for r.
+    ``rest`` maps nodes, as bits, to their incidence rows and holds every
+    node of ``uncolored``; ``reach`` marks the edges that meet every guessed
+    class.  Only those edges can become rainbow, and one does exactly when it
+    holds nodes of both last colors, so each component of ``uncolored`` under
+    them takes a single color.  Class r-1 is the component of the lowest
+    uncolored node, grown by testing each node's row against the edges the
+    component meets until a pass adds nothing; the guess fails if it covers
+    ``uncolored``.
     """
-    for emask in edges:
-        forced = emask & uncolored
-        if emask & last and forced & (forced - 1):
-            break
-    else:
-        # nothing can become rainbow: split the rest into two nonempty classes
-        first = uncolored & -uncolored
-        return first, uncolored & ~first
-    # the forced nodes leave ``uncolored`` when the sweep reaches their edge
-    changed = True
-    while changed:
-        changed = False
-        for emask in edges:
-            if emask & forced and emask & uncolored and emask & last:
-                forced |= emask & uncolored
-                uncolored &= ~emask
-                if not uncolored:
-                    return None  # the last color would go unused
-                changed = True
-    return forced, uncolored
+    low = uncolored & -uncolored
+    left = uncolored ^ low
+    edges = rest[low] & reach
+    while left:
+        before = left
+        for bit, row in rest.items():
+            if bit & left and row & edges:
+                left ^= bit
+                edges |= row & reach
+        if left == before:
+            return uncolored ^ left, left
+    return None  # the last color would go unused
 
 
 def nrc3_guesses(n: int, limit: Optional[int] = None) -> int:
@@ -321,12 +315,16 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     if n < 3:
         raise InvalidInstanceError("3-NRC needs at least 3 nodes")
     _announce(3, n, guess_cap)
-    edge_masks, rows, live = _search_input(h, 3)
+    rows, live = _search_input(h, 3)
+    nodes = {1 << v: row for v, row in enumerate(rows)}
     full_mask = (1 << n) - 1
     for i in range(1, n // 3 + 1):
         for a in combinations(live, i):
-            amask = sum(1 << v for v in a)
-            split = _complete(edge_masks, amask, full_mask ^ amask)
+            amask = meets = 0
+            for v in a:
+                amask |= 1 << v
+                meets |= rows[v]
+            split = _complete(nodes, meets, full_mask ^ amask)
             if split is not None:
                 return NrcOutcome(
                     _coloring_from_masks(n, [amask, *split]), RULE_SEARCH_3
@@ -335,24 +333,33 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
 
 
 def _nrc4_scan(
-    edge_masks: list[int], rows: list[int], live: list[int],
-    stride: int = 1, offset: int = 0,
+    rows: list[int], live: list[int], stride: int = 1, offset: int = 0
 ) -> Optional[list[int]]:
     """Scan (A, B) guesses in enumeration order, for each A that passes the
-    link screen, listing the edges that meet A once per A; with a stride,
-    only every stride-th A of the live nodes from offset on."""
+    link screen; with a stride, only every stride-th A of the live nodes
+    from offset on.
+
+    Per A, each node outside A is paired with its row masked to the edges
+    that meet A; per B, the OR of B's rows marks the edges that meet A and
+    B, and ``_complete`` tests whether the other nodes split under them.
+    Class 3 of a witness is the component of the lowest node outside A and
+    B.
+    """
     n = len(rows)
-    bits = [1 << v for v in range(n)]
-    for a, amask in _screened_guesses(rows, live, 3, n // 4, stride, offset):
+    for a, amask, meets in _screened_guesses(
+        rows, live, 3, n // 4, stride, offset
+    ):
         i = len(a)
-        edges_a = [e for e in edge_masks if e & amask]
-        rest = [b for b in bits if not b & amask]
+        rest = {1 << v: rows[v] & meets for v in range(n) if not amask >> v & 1}
         above = [b for b in rest if b > amask & -amask]
         rest_mask = sum(rest)
         for j in range(i, (n - i) // 3 + 1):
             for bcombo in combinations(above if j == i else rest, j):
-                bmask = sum(bcombo)
-                split = _complete(edges_a, bmask, rest_mask ^ bmask)
+                bmask = reach = 0
+                for b in bcombo:
+                    bmask |= b
+                    reach |= rest[b]
+                split = _complete(rest, reach, rest_mask ^ bmask)
                 if split is not None:
                     return [amask, bmask, *split]
     return None
@@ -384,9 +391,7 @@ def nrc4(
     return NrcOutcome(_coloring_from_masks(n, classes), RULE_SEARCH_4)
 
 
-def _nrc4_parallel(
-    edge_masks: list[int], rows: list[int], live: list[int]
-) -> Optional[list[int]]:
+def _nrc4_parallel(rows: list[int], live: list[int]) -> Optional[list[int]]:
     """The sequential scan split by A over one process per core (at most 8).
 
     Worker w scans every A whose position is w modulo the worker count and
@@ -394,31 +399,42 @@ def _nrc4_parallel(
     ends the search, and the workers still scanning are terminated.  No
     worker shares a lock, so terminating one in mid-send blocks nothing; a
     pool's shared result queue would stay locked, and its shutdown hang.
+    A worker that ends without sending leaves its share unscanned, so the
+    search then raises SizeLimitError with the worker's exit code.
     """
     count = min(os.cpu_count() or 1, 8)
     if count <= 1:
-        return _nrc4_scan(edge_masks, rows, live)
-    workers, results = [], []
+        return _nrc4_scan(rows, live)
+    workers = {}  # each worker by the receiving end of its pipe
     try:
         for offset in range(count):
             receive, send = multiprocessing.Pipe(duplex=False)
             worker = multiprocessing.Process(
                 target=_send_scan,
-                args=(send, edge_masks, rows, live, count, offset),
+                args=(send, rows, live, count, offset),
             )
             worker.start()
-            workers.append(worker)
+            workers[receive] = worker
             send.close()  # so a worker that dies unheard reads as EOF
-            results.append(receive)
-        while results:
-            for receive in wait(results):
-                results.remove(receive)
-                classes = receive.recv()
+        pending = list(workers)
+        while pending:
+            for receive in wait(pending):
+                pending.remove(receive)
+                try:
+                    classes = receive.recv()
+                except EOFError:
+                    worker = workers[receive]
+                    worker.join()
+                    raise SizeLimitError(
+                        "4-NRC search stopped: a worker process ended with "
+                        f"exit code {worker.exitcode} before it reported its "
+                        "share of the guesses"
+                    ) from None
                 if classes is not None:
                     return classes
         return None
     finally:
-        for worker in workers:
+        for worker in workers.values():
             worker.terminate()
             worker.join()
 

@@ -119,6 +119,30 @@ def reference_link_covers(h: Hypergraph, a: tuple[int, ...], size: int) -> bool:
     return len(covered) == comb(len(outside), size)
 
 
+def reference_last_split(
+    h: Hypergraph, guessed: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The uncolored nodes' split after the guessed classes: the component of
+    the lowest uncolored node and the other uncolored nodes, or None when
+    that component holds them all.  Two uncolored nodes are joined when an
+    edge that meets every guessed class holds both; the component is closed
+    over such pairs until nothing changes."""
+    colored = {v for c in guessed for v in c}
+    uncolored = [v for v in range(h.node_count) if v not in colored]
+    live = [set(e) for e in h.edges if all(set(e) & set(c) for c in guessed)]
+    component = {uncolored[0]}
+    changed = True
+    while changed:
+        changed = False
+        for u, w in combinations(uncolored, 2):
+            if ((u in component) != (w in component)
+                    and any({u, w} <= e for e in live)):
+                component |= {u, w}
+                changed = True
+    others = tuple(v for v in uncolored if v not in component)
+    return (tuple(sorted(component)), others) if others else None
+
+
 def cnf_satisfiable_exhaustive(formula, n: int) -> bool:
     """Satisfiability of an emitted formula by sweeping all 4^n colorings.
 

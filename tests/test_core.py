@@ -57,10 +57,6 @@ class TestHypergraph:
         h = Hypergraph(4, ((2, 0, 1), (0, 1, 2), (3, 3)))
         assert h.edges == ((0, 1, 2), (3,))
 
-    def test_edge_masks(self):
-        h = Hypergraph(4, ((0, 2), (1, 3)))
-        assert h.edge_masks == (0b0101, 0b1010)
-
     def test_bad_node_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Hypergraph(2, ((0, 2),))

@@ -12,13 +12,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     random_hypergraph,
     random_uniform_hypergraph,
+    reference_last_split,
     reference_link_covers,
     reference_no_rainbow_colorings,
 )
+from decisive.cli import EXIT_CAP_EXCEEDED, run
 from decisive.core import Coloring, CoveragePattern, Hypergraph, verify_no_rainbow
 from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
@@ -249,9 +252,101 @@ class TestNrc4:
             assert verify_no_rainbow(h, par.witness)
         assert multiprocessing.active_children() == []
 
+    def test_worker_that_dies_unheard_is_refused(
+        self, monkeypatch, two_cores, tmp_path, capsys
+    ):
+        # as if each worker were killed before it sent its result: its share
+        # of the guesses is unscanned, so "exhausted" would be a wrong answer
+        from decisive.bounds import star_hypergraph
+
+        monkeypatch.setattr(nrc_module, "_send_scan", lambda *args: os._exit(1))
+        h = star_hypergraph(12, 4)
+        with pytest.raises(SizeLimitError) as err:
+            nrc4(h, parallel=True)
+        assert str(err.value) == (
+            "4-NRC search stopped: a worker process ended with exit code 1 "
+            "before it reported its share of the guesses"
+        )
+        assert multiprocessing.active_children() == []
+        f = tmp_path / "star.txt"
+        f.write_text("nodes 12\n" + "".join(
+            " ".join(map(str, e)) + "\n" for e in h.edges
+        ))
+        assert run(["nrc", "--input", str(f), "--format", "edge-list",
+                    "--parallel"]) == EXIT_CAP_EXCEEDED
+        assert "exit code 1" in capsys.readouterr().err
+
 
 def classes(coloring: Coloring, color: int) -> tuple[int, ...]:
     return tuple(v for v, c in enumerate(coloring.assignment) if c == color)
+
+
+def nodes_of(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+class TestCompletion:
+    """Once the rarest classes are guessed, the uncolored nodes split iff
+    they are disconnected under the edges that meet every guessed class."""
+
+    @given(st.data())
+    def test_matches_pairwise_reference(self, data):
+        n = data.draw(st.integers(4, 9))
+        edges = data.draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=2, max_size=min(6, n)),
+            max_size=12,
+        ))
+        h = Hypergraph(n, tuple(tuple(e) for e in edges))
+        # A alone as in nrc3, or A and B as in nrc4, leaving 2+ uncolored
+        order = data.draw(st.permutations(range(n)))
+        a_size = data.draw(st.integers(1, n - 2))
+        guessed = [tuple(sorted(order[:a_size]))]
+        if data.draw(st.booleans()) and a_size < n - 2:
+            b_size = data.draw(st.integers(1, n - 2 - a_size))
+            guessed.append(tuple(sorted(order[a_size:a_size + b_size])))
+        colored = {v for c in guessed for v in c}
+        rows = nrc_module._incidence_rows(n, list(h.edges))
+        reach = -1  # the edges that meet every guessed class
+        for c in guessed:
+            meets = 0
+            for v in c:
+                meets |= rows[v]
+            reach &= meets
+        rest = {1 << v: rows[v] for v in range(n) if v not in guessed[0]}
+        uncolored = sum(1 << v for v in range(n) if v not in colored)
+        split = nrc_module._complete(rest, reach, uncolored)
+        expected = reference_last_split(h, guessed)
+        if expected is None:
+            assert split is None
+        else:
+            assert split is not None
+            assert (nodes_of(split[0]), nodes_of(split[1])) == expected
+
+    def test_a_node_met_late_joins_on_a_later_pass(self):
+        # node 1 shares an edge only with 3, which joins after 1 is tested
+        h = Hypergraph(6, ((0, 3, 5), (1, 3, 5)))
+        rows = nrc_module._incidence_rows(6, list(h.edges))
+        rest = {1 << v: rows[v] for v in range(5)}
+        assert nrc_module._complete(rest, rows[5], 0b11111) == (0b01011, 0b10100)
+        assert reference_last_split(h, [(5,)]) == ((0, 1, 3), (2, 4))
+
+    def test_witness_ends_with_the_lowest_uncolored_component(self):
+        rng = random.Random(10)
+        found = {3: 0, 4: 0}
+        for _ in range(300):
+            h = random_hypergraph(rng, n_range=(4, 9), max_edges=10,
+                                  edge_size_range=(2, 6))
+            for r, search in ((3, nrc3), (4, nrc4)):
+                out = search(h)
+                if not out.found:
+                    continue
+                found[r] += 1
+                w = out.witness
+                guessed = [classes(w, c) for c in range(1, r - 1)]
+                assert (classes(w, r - 1), classes(w, r)) == (
+                    reference_last_split(h, guessed)
+                )
+        assert min(found.values()) >= 100
 
 
 class TestWitnessOrder:
