@@ -76,7 +76,10 @@ class Hypergraph:
         normalized = []
         seen = set()
         for edge in self.edges:
-            e = tuple(sorted(set(edge)))
+            e = tuple(edge)
+            # loci of a CoveragePattern come sorted and duplicate-free
+            if not all(map(operator.lt, e, e[1:])):
+                e = tuple(sorted(set(e)))
             if not e:
                 raise InvalidInstanceError("empty edge")
             if e[0] < 0 or e[-1] >= self.node_count:

@@ -24,9 +24,15 @@ A link screen skips rarest classes that cannot complete.  If every
 that A completes: one node from each other class sits in such an edge, and
 it is rainbow.  An edge that meets A meets every superset of A, so both
 searches take A only from the "live" nodes, whose own link leaves some
-(r-1)-set uncovered.  4-NRC also screens each larger A before its B guesses;
-3-NRC makes one completion per A, which costs no more than the screen.  Only
-guesses that cannot succeed are skipped, so the witness stays the same.
+(r-1)-set uncovered.  3-NRC screens nothing else: it makes one completion
+per A, which costs no more than a screen.  4-NRC screens each A before its
+B guesses with a stronger rule: every node outside A must lie in a triple
+outside A that no edge meeting A contains.  In a witness, a node outside A
+and one node of each of the two other classes besides its own form such a
+triple, since an edge meeting A that held it would be rainbow.  This rule
+does not pass to supersets of A (a superset may hold the node that failed),
+so it never decides which nodes are live.  Only guesses that cannot succeed
+are skipped, so the witness stays the same.
 
 Witness soundness is always re-checkable with core.verify_no_rainbow.
 
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 from multiprocessing.connection import wait
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from .core import Coloring, Hypergraph, connected_components, uncovered_set
 from .errors import InvalidInstanceError, SizeLimitError
@@ -53,7 +59,7 @@ from .errors import InvalidInstanceError, SizeLimitError
 log = logging.getLogger(__name__)
 
 # guesses an exhaustive search may make: nrc4 on 18 nodes makes 6.5e6, and
-# on star_hypergraph(18, 4) takes 26 s of CPU time on a 2-core x86 VM
+# on star_hypergraph(18, 4) takes 14 s of CPU time on a 2-core x86 VM
 DEFAULT_SEARCH_CAP = 10**7
 # A refusal states the exact guess count up to this many (or up to the
 # budget, when that is larger).  Counting further is pointless, takes seconds
@@ -61,11 +67,12 @@ DEFAULT_SEARCH_CAP = 10**7
 # digits than int -> str converts.
 GUESS_COUNT_LIMIT = 10**18
 # A parallel search runs in-process below this many guesses.  Starting and
-# joining two worker processes costs 5-7 ms on a 2-core x86 VM.  At 7,480
-# guesses (11 nodes), planted witnesses took 13-15 ms in-process against
-# 14-20 ms in two workers, and star_hypergraph(11, 4) 31-35 ms against
-# 27-31 ms; at 21,351 (12 nodes) the star took 103-118 ms against 71-81 ms
-# (medians of 15, two sessions).
+# joining two worker processes costs 5-7 ms on a 2-core x86 VM.  Exhaustive
+# searches break even between 11 and 12 nodes: star_hypergraph(11, 4) (7,480
+# guesses) took 14-16 ms in-process against 16-18 ms in two workers, and
+# star_hypergraph(12, 4) (21,351) 39-44 ms against 30-33 ms (medians of 15,
+# two sessions).  A planted witness that the link screen reaches at once
+# takes 1-3 ms in-process at 11-14 nodes against 6-11 ms in two workers.
 POOL_MIN_GUESSES = 20_000
 
 RULE_COMPONENT_SPLIT = "component-split"
@@ -163,39 +170,46 @@ def _search_input(h: Hypergraph, r: int) -> tuple[list[int], list[int]]:
     live nodes: those whose own link leaves an (r-1)-set uncovered."""
     n = h.node_count
     rows = _incidence_rows(n, [e for e in h.edges if len(e) >= r])
-    live = [a for (a,), _, _ in _screened_guesses(rows, range(n), r - 1, 1)]
+    live = [a for a in range(n)
+            if _link_gap(rows, 1 << a, rows[a], r - 1) is not None]
     log.debug("%d-NRC search: %d of %d nodes pass the link screen",
               r, len(live), n)
     return rows, live
 
 
-def _screened_guesses(
-    rows: list[int], live: Sequence[int], size: int, most: int,
-    stride: int = 1, offset: int = 0,
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Rarest-class guesses A of 1..``most`` live nodes, by size and then
-    lexicographically, every stride-th from ``offset`` on, as the tuple of
-    A's nodes, A's mask and the mask of the edges that meet A.  Skipped is
-    every A whose link leaves no ``size``-set uncovered."""
-    guesses = chain.from_iterable(
-        combinations(live, i) for i in range(1, most + 1)
-    )
-    # the uncovered sets found so far: one usually serves the next A, which
-    # saves its scan (star_hypergraph(12, 4) needs 16 scans for 298 A's; it
-    # needed 134 when only the last set was kept)
-    gaps: list[tuple[int, int]] = []
-    for a in islice(guesses, offset, None, stride):
-        amask = meets = 0
-        for v in a:
-            amask |= 1 << v
-            meets |= rows[v]
-        if not any(not (nodes & amask or common & meets)
-                   for nodes, common in reversed(gaps)):
-            gap = _link_gap(rows, amask, meets, size)
-            if gap is None:
-                continue
-            gaps.append(gap)
-        yield a, amask, meets
+def _link_admits(
+    rows: list[int], amask: int, meets: int,
+    triples: list[tuple[int, int]], dead: list[tuple[int, int]],
+) -> bool:
+    """Whether every node outside A lies in a triple outside A that no edge
+    meeting A contains; ``meets`` marks the edges that meet A.
+
+    Two lists carry what earlier calls found.  ``triples`` holds each
+    triple found as its node mask and the mask of the edges that hold all
+    three; it serves every A that it misses and whose edges miss its own.
+    ``dead`` holds (A, node) for each node found in no such triple; the node
+    is in none for a superset of A that leaves it out either, since that has
+    fewer triples and more edges.  Only the nodes that no kept triple covers
+    are scanned, and the scan stops at the first one in no triple.
+    """
+    for dmask, bit in dead:
+        if not (dmask & ~amask or bit & amask):
+            return False
+    left = (1 << len(rows)) - 1 ^ amask
+    for nodes, common in triples:
+        if not (nodes & amask or common & meets):
+            left &= ~nodes
+    while left:
+        v = left.bit_length() - 1
+        bit = 1 << v
+        pair = _link_gap(rows, amask | bit, meets & rows[v], 2)
+        if pair is None:
+            dead.append((amask, bit))
+            return False
+        nodes = pair[0] | bit
+        triples.append((nodes, pair[1] & rows[v]))
+        left &= ~nodes
+    return True
 
 
 def _complete(
@@ -336,8 +350,10 @@ def _nrc4_scan(
     rows: list[int], live: list[int], stride: int = 1, offset: int = 0
 ) -> Optional[list[int]]:
     """Scan (A, B) guesses in enumeration order, for each A that passes the
-    link screen; with a stride, only every stride-th A of the live nodes
-    from offset on.
+    link screen (``_link_admits``: every node outside A lies in a triple that
+    A's link leaves uncovered); with a stride, only every stride-th A of the
+    live nodes from offset on.  The triples and failed nodes found for one A
+    are kept for the next.
 
     Per A, each node outside A is paired with its row masked to the edges
     that meet A; per B, the OR of B's rows marks the edges that meet A and
@@ -346,9 +362,18 @@ def _nrc4_scan(
     B.
     """
     n = len(rows)
-    for a, amask, meets in _screened_guesses(
-        rows, live, 3, n // 4, stride, offset
-    ):
+    guesses = chain.from_iterable(
+        combinations(live, i) for i in range(1, n // 4 + 1)
+    )
+    triples: list[tuple[int, int]] = []
+    dead: list[tuple[int, int]] = []
+    for a in islice(guesses, offset, None, stride):
+        amask = meets = 0
+        for v in a:
+            amask |= 1 << v
+            meets |= rows[v]
+        if not _link_admits(rows, amask, meets, triples, dead):
+            continue
         i = len(a)
         rest = {1 << v: rows[v] & meets for v in range(n) if not amask >> v & 1}
         above = [b for b in rest if b > amask & -amask]

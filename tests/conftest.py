@@ -105,18 +105,56 @@ def reference_no_rainbow_colorings(h: Hypergraph, r: int) -> list[Coloring]:
     return out
 
 
-def reference_link_covers(h: Hypergraph, a: tuple[int, ...], size: int) -> bool:
-    """Whether every ``size``-set of the nodes outside A lies in an edge that
-    meets A.  Then no no-rainbow (size + 1)-coloring has A as a class: one
-    node of each other class would share such an edge with A."""
-    outside = [v for v in range(h.node_count) if v not in a]
-    covered = {
+def _link_covered(h: Hypergraph, a: tuple[int, ...], size: int) -> set:
+    """The ``size``-sets of the nodes outside A that an edge meeting A
+    holds, as tuples in node order."""
+    return {
         t
         for edge in h.edges
         if set(edge) & set(a)
         for t in combinations([v for v in edge if v not in a], size)
     }
-    return len(covered) == comb(len(outside), size)
+
+
+def reference_link_covers(h: Hypergraph, a: tuple[int, ...], size: int) -> bool:
+    """Whether every ``size``-set of the nodes outside A lies in an edge that
+    meets A.  Then no no-rainbow (size + 1)-coloring has A as a class: one
+    node of each other class would share such an edge with A."""
+    outside = [v for v in range(h.node_count) if v not in a]
+    return len(_link_covered(h, a, size)) == comb(len(outside), size)
+
+
+def reference_link_strands(h: Hypergraph, a: tuple[int, ...]) -> bool:
+    """Whether some node outside A lies in no triple of the nodes outside A
+    that every edge meeting A misses.  Then no no-rainbow 4-coloring has A as
+    a class: that node and one node of each other class but its own and A
+    would share an edge with A."""
+    outside = [v for v in range(h.node_count) if v not in a]
+    covered = _link_covered(h, a, 3)
+    in_gaps = {
+        v for t in combinations(outside, 3) if t not in covered for v in t
+    }
+    return in_gaps != set(outside)
+
+
+def reference_class_completes(h: Hypergraph, a: tuple[int, ...]) -> bool:
+    """Whether some no-rainbow 4-coloring has A as a class, found by giving
+    the other nodes colors 0..2 in every way (vectorized over those ways, as
+    node masks per color)."""
+    outside = [v for v in range(h.node_count) if v not in a]
+    m = len(outside)
+    colors = np.arange(3**m)[:, None] // 3 ** np.arange(m) % 3
+    masks = [(colors == c) @ (1 << np.arange(m)) for c in range(3)]
+    edges = np.array([
+        sum(1 << p for p, v in enumerate(outside) if v in edge)
+        for edge in h.edges
+        if set(edge) & set(a)
+    ], dtype=np.int64)
+    rainbow = np.logical_and.reduce(
+        [(mask[:, None] & edges) != 0 for mask in masks]
+    )
+    onto = np.logical_and.reduce([mask != 0 for mask in masks])
+    return bool((onto & ~rainbow.any(axis=1)).any())
 
 
 def reference_last_split(

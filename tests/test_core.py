@@ -57,6 +57,18 @@ class TestHypergraph:
         h = Hypergraph(4, ((2, 0, 1), (0, 1, 2), (3, 3)))
         assert h.edges == ((0, 1, 2), (3,))
 
+    # sorted edges skip the sort, so draw many of them, as lists and tuples
+    @given(st.lists(st.one_of(
+        st.lists(st.integers(0, 5), min_size=1, max_size=6),
+        st.sets(st.integers(0, 5), min_size=1).map(sorted),
+        st.sets(st.integers(0, 5), min_size=1).map(sorted).map(tuple),
+    ), max_size=8))
+    def test_edges_are_the_sorted_sets_in_first_order(self, edges):
+        expected = tuple(dict.fromkeys(tuple(sorted(set(e))) for e in edges))
+        h = Hypergraph(6, tuple(edges))
+        assert h.edges == expected
+        assert all(type(e) is tuple for e in h.edges)
+
     def test_bad_node_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Hypergraph(2, ((0, 2),))

@@ -17,8 +17,10 @@ from hypothesis import given, strategies as st
 from conftest import (
     random_hypergraph,
     random_uniform_hypergraph,
+    reference_class_completes,
     reference_last_split,
     reference_link_covers,
+    reference_link_strands,
     reference_no_rainbow_colorings,
 )
 from decisive.cli import EXIT_CAP_EXCEEDED, run
@@ -393,6 +395,46 @@ class TestWitnessOrder:
             assert verify_no_rainbow(h, out.witness)
 
 
+class TestNodeScreen:
+    """nrc4 skips every A that leaves a node outside all the triples that its
+    link leaves uncovered; no coloring with such an A as a class exists."""
+
+    FAMILIES = {
+        "mixed": lambda rng: random_hypergraph(
+            rng, n_range=(5, 10), max_edges=16, edge_size_range=(3, 6)
+        ),
+        "4-uniform": lambda rng: random_uniform_hypergraph(
+            rng, rng.randint(5, 10), 4, rng.randint(5, 60)
+        ),
+        "planted": lambda rng: planted(
+            rng, tuple(rng.randint(1, most) for most in (2, 2, 3, 3))
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_skipped_classes_never_complete(self, family):
+        rng = random.Random(family)
+        skipped = completing = 0
+        for _ in range(30):
+            h = self.FAMILIES[family](rng)
+            n = h.node_count
+            rows, _ = nrc_module._search_input(h, 4)
+            triples, dead = [], []  # shared by the A's, as in the scan
+            for a in (a for i in range(1, n // 4 + 1)
+                      for a in combinations(range(n), i)):
+                amask = sum(1 << v for v in a)
+                meets = 0
+                for v in a:
+                    meets |= rows[v]
+                admits = nrc_module._link_admits(rows, amask, meets, triples, dead)
+                assert admits == (not reference_link_strands(h, a))
+                completes = reference_class_completes(h, a)
+                assert admits or not completes
+                skipped += not admits
+                completing += completes
+        assert skipped >= 20 and completing >= 5
+
+
 class TestGuessBudget:
     @pytest.fixture
     def completions(self, monkeypatch):
@@ -407,14 +449,16 @@ class TestGuessBudget:
         monkeypatch.setattr(nrc_module, "_complete", counted)
         return calls
 
-    # an exhaustive scan makes every guess but those of the A's whose link
-    # covers every triple; on stars that happens only below 9 nodes
+    # an exhaustive scan makes every guess but those of the A's that leave a
+    # node outside every triple their link leaves uncovered
     @pytest.mark.parametrize(
         "n,guesses",
         [(8, 406), (9, 666), (10, 1875), (11, 7480), (12, 21351), (13, 42406)],
     )
     def test_nrc4_count_equals_exhaustive_scan(self, completions, n, guesses):
         from decisive.bounds import star_hypergraph
+
+        made = {8: 235, 9: 411, 10: 1260, 11: 4354, 12: 11679, 13: 25441}[n]
 
         def b_guesses(a):
             i, rest = len(a), [v for v in range(n) if v not in a]
@@ -426,12 +470,21 @@ class TestGuessBudget:
             b_guesses(a)
             for i in range(1, n // 4 + 1)
             for a in combinations(range(n), i)
-            if reference_link_covers(h, a, 3)
+            if reference_link_strands(h, a)
         )
-        assert skipped == (3 if n == 8 else 0)
         assert nrc4_guesses(n) == guesses
         assert not nrc4(h).found
-        assert completions[0] == guesses - skipped
+        assert completions[0] == guesses - skipped == made
+
+    def test_planted_witness_is_the_first_completion(self, completions):
+        # classes {0,1,2}, {3,4,5}, ...: every A before {0,1,2} leaves a node
+        # outside all uncovered triples, and B = {3,4,5} comes first
+        h = Hypergraph(12, tuple(
+            q for q in combinations(range(12), 4) if len({v // 3 for v in q}) < 4
+        ))
+        out = nrc4(h)
+        assert out.witness.assignment == tuple(v // 3 + 1 for v in range(12))
+        assert completions[0] == 1
 
     # nrc3 skips the A's that hold a node whose own link covers every pair:
     # every node of a complete 3-uniform hypergraph, no node of a star
