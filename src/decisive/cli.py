@@ -339,6 +339,14 @@ def _cmd_subset(args) -> tuple[int, dict]:
 # argument parsing, output and entry point
 # --------------------------------------------------------------------------
 
+def count(text: str) -> int:
+    """A count flag's value: a non-negative integer, else a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 _PATTERN_FORMATS = ("matrix-csv", "locus-list")
 _GRAPH_FORMATS = ("matrix-csv", "locus-list", "edge-list")
 
@@ -367,9 +375,9 @@ _FLAGS = {
     "--format": {"help": "input file format"},
     "--out": {"help": "output path"},
     "--report": {"choices": ("json", "text"), "default": "json"},
-    "--oracle-cap": {"type": int, "default": oracle.DEFAULT_NODE_CAP},
+    "--oracle-cap": {"type": count, "default": oracle.DEFAULT_NODE_CAP},
     "--search-cap": {
-        "type": int,
+        "type": count,
         "default": DEFAULT_SEARCH_CAP,
         "help": "guess budget of the exhaustive search; a larger search is "
         "refused (exit 3) before it starts",

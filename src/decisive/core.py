@@ -188,6 +188,16 @@ def no_rainbow_failure(h: Hypergraph, coloring: Coloring) -> Optional[str]:
     return None
 
 
+def incidence_rows(n: int, edges: Iterable[Iterable[int]]) -> list[int]:
+    """The incidence rows of n nodes: bit j of row v is set iff v is in edge j."""
+    rows = [0] * n
+    for j, edge in enumerate(edges):
+        bit = 1 << j
+        for v in edge:
+            rows[v] |= bit
+    return rows
+
+
 def uncovered_set(rows: Sequence[int], size: int) -> Optional[tuple[int, ...]]:
     """The lexicographically first ``size`` indices whose rows AND to 0.
 

@@ -34,6 +34,11 @@ does not pass to supersets of A (a superset may hold the node that failed),
 so it never decides which nodes are live.  Only guesses that cannot succeed
 are skipped, so the witness stays the same.
 
+``nrc4_rows`` searches incidence rows: ``nrc4`` passes it a hypergraph's,
+``reduction.kernel_nrc4`` a kernel's as they are.  A kernel search thus
+counts its guesses once and runs no non-neighbor scan, which would find
+nothing: each kernel row is a taxon, and every triple of taxa is covered.
+
 Witness soundness is always re-checkable with core.verify_no_rainbow.
 
 An exhaustive search makes at most ``nrc3_guesses`` / ``nrc4_guesses``
@@ -51,15 +56,16 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 from multiprocessing.connection import wait
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import Coloring, Hypergraph, connected_components, uncovered_set
+from .core import (Coloring, Hypergraph, connected_components, incidence_rows,
+                   uncovered_set)
 from .errors import InvalidInstanceError, SizeLimitError
 
 log = logging.getLogger(__name__)
 
-# guesses an exhaustive search may make: nrc4 on 18 nodes makes 6.5e6, and
-# on star_hypergraph(18, 4) takes 14 s of CPU time on a 2-core x86 VM
+# guesses an exhaustive search may make: nrc4 on 18 nodes makes 6.5e6; on
+# star_hypergraph(18, 4) it took 13-18 s of CPU, median 14.6, on a 2-core VM
 DEFAULT_SEARCH_CAP = 10**7
 # A refusal states the exact guess count up to this many (or up to the
 # budget, when that is larger).  Counting further is pointless, takes seconds
@@ -129,21 +135,12 @@ def non_neighbor_witness(h: Hypergraph, r: int) -> Optional[Coloring]:
         raise InvalidInstanceError(f"need at least r={r} nodes, got {n}")
     if r < 3:
         return None  # sets of size 2..r-1 require r >= 3
-    group = uncovered_set(_incidence_rows(n, h.edges), r - 1)
+    group = uncovered_set(incidence_rows(n, h.edges), r - 1)
     return None if group is None else non_neighbor_coloring(n, r, group)
 
 
-def _incidence_rows(n: int, edges: list[tuple[int, ...]]) -> list[int]:
-    """Each node's incidence row: bit j set iff the node is in ``edges[j]``."""
-    rows = [0] * n
-    for j, edge in enumerate(edges):
-        for v in edge:
-            rows[v] |= 1 << j
-    return rows
-
-
 def _link_gap(
-    rows: list[int], amask: int, meets: int, size: int
+    rows: Sequence[int], amask: int, meets: int, size: int
 ) -> Optional[tuple[int, int]]:
     """A ``size``-set outside A that no edge meeting A contains, or None.
 
@@ -165,20 +162,22 @@ def _link_gap(
     return nodes, common
 
 
-def _search_input(h: Hypergraph, r: int) -> tuple[list[int], list[int]]:
-    """Each node's incidence row over the edges of r or more nodes, and the
-    live nodes: those whose own link leaves an (r-1)-set uncovered."""
-    n = h.node_count
-    rows = _incidence_rows(n, [e for e in h.edges if len(e) >= r])
+# The rows may hold edges of fewer than r nodes.  Those are inert in the
+# search: an edge that meets A and holds an (r-1)-set outside A, or that
+# meets every guessed class and holds two uncolored nodes, has r or more.
+def _live(rows: Sequence[int], r: int) -> list[int]:
+    """The live nodes of an r-NRC search over these incidence rows: those
+    whose own link leaves an (r-1)-set uncovered."""
+    n = len(rows)
     live = [a for a in range(n)
             if _link_gap(rows, 1 << a, rows[a], r - 1) is not None]
     log.debug("%d-NRC search: %d of %d nodes pass the link screen",
               r, len(live), n)
-    return rows, live
+    return live
 
 
 def _link_admits(
-    rows: list[int], amask: int, meets: int,
+    rows: Sequence[int], amask: int, meets: int,
     triples: list[tuple[int, int]], dead: list[tuple[int, int]],
 ) -> bool:
     """Whether every node outside A lies in a triple outside A that no edge
@@ -286,7 +285,7 @@ _GUESS_COUNTS = {3: nrc3_guesses, 4: nrc4_guesses}
 
 def check_budget(r: int, n: int, guess_cap: int, subject: str) -> int:
     """Guesses of an unscreened r-NRC search on n nodes; a search of more
-    than ``guess_cap`` is refused.
+    than ``guess_cap`` is refused, else its estimate is logged.
 
     The count stops at ``max(guess_cap, GUESS_COUNT_LIMIT)``; a refusal past
     that names the bound instead of the count.
@@ -299,13 +298,6 @@ def check_budget(r: int, n: int, guess_cap: int, subject: str) -> int:
             f"{r}-NRC search refused: {subject}; an exhaustive search makes "
             f"{count} guesses, over the budget of {guess_cap}"
         )
-    return guesses
-
-
-def _announce(r: int, n: int, guess_cap: int) -> int:
-    """Refuse a search over the budget, else log its estimate; returns the
-    guess count."""
-    guesses = check_budget(r, n, guess_cap, f"the hypergraph has {n} nodes")
     log.debug(
         "%d-NRC search: %d nodes, at most %d guesses, budget %d",
         r, n, guesses, guess_cap,
@@ -328,8 +320,9 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     n = h.node_count
     if n < 3:
         raise InvalidInstanceError("3-NRC needs at least 3 nodes")
-    _announce(3, n, guess_cap)
-    rows, live = _search_input(h, 3)
+    check_budget(3, n, guess_cap, f"the hypergraph has {n} nodes")
+    rows = incidence_rows(n, h.edges)
+    live = _live(rows, 3)
     nodes = {1 << v: row for v, row in enumerate(rows)}
     full_mask = (1 << n) - 1
     for i in range(1, n // 3 + 1):
@@ -347,7 +340,7 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
 
 
 def _nrc4_scan(
-    rows: list[int], live: list[int], stride: int = 1, offset: int = 0
+    rows: Sequence[int], live: list[int], stride: int = 1, offset: int = 0
 ) -> Optional[list[int]]:
     """Scan (A, B) guesses in enumeration order, for each A that passes the
     link screen (``_link_admits``: every node outside A lies in a triple that
@@ -405,18 +398,28 @@ def nrc4(
     n = h.node_count
     if n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 nodes")
-    guesses = _announce(4, n, guess_cap)
-    scan_input = _search_input(h, 4)
+    subject = f"the hypergraph has {n} nodes"
+    return nrc4_rows(incidence_rows(n, h.edges), guess_cap, parallel, subject)
+
+
+def nrc4_rows(
+    rows: Sequence[int], guess_cap: int, parallel: bool, subject: str
+) -> NrcOutcome:
+    """``nrc4`` on the nodes whose incidence rows these are, 4 or more; a
+    refusal names ``subject``."""
+    n = len(rows)
+    guesses = check_budget(4, n, guess_cap, subject)
+    live = _live(rows, 4)
     if parallel and guesses >= POOL_MIN_GUESSES:
-        classes = _nrc4_parallel(*scan_input)
+        classes = _nrc4_parallel(rows, live)
     else:
-        classes = _nrc4_scan(*scan_input)
+        classes = _nrc4_scan(rows, live)
     if classes is None:
         return NrcOutcome(None, RULE_EXHAUSTED)
     return NrcOutcome(_coloring_from_masks(n, classes), RULE_SEARCH_4)
 
 
-def _nrc4_parallel(rows: list[int], live: list[int]) -> Optional[list[int]]:
+def _nrc4_parallel(rows: Sequence[int], live: list[int]) -> Optional[list[int]]:
     """The sequential scan split by A over one process per core (at most 8).
 
     Worker w scans every A whose position is w modulo the worker count and

@@ -5,13 +5,15 @@ A pattern is decisive iff its coverage hypergraph has no no-rainbow
 uncovered triple and rooted case, both read off the kernel it builds once),
 then a search for a no-rainbow 4-coloring of that kernel with its dominated
 loci dropped (``reduction.drop_dominated_loci``), unless an exhaustive search
-would exceed the guess budget.  The other engines (``nrc.nrc4`` on the
-raw hypergraph, ``reduction.fpt_nrc4``, ``oracle.brute_force_nrc``) stay
-public and are reached from ``decisive nrc`` and ``decisive oracle``.  No
-quadruple count runs here: its bound only confirms a witness the search finds
-anyway, and ``decisive bound`` reports it.  Fewer colors are never searched:
-once every triple is covered, a 2- or 3-coloring has one taxon of each color
-inside a common locus, so it is rainbow.  Every non-decisive verdict carries a
+would exceed the guess budget.  The search reads the kernel's rows, counts
+its guesses once and looks for no uncovered triple again: each row is a
+taxon's.  The other engines (``nrc.nrc4`` on the raw hypergraph,
+``reduction.fpt_nrc4``, ``oracle.brute_force_nrc``) stay public and are
+reached from ``decisive nrc`` and ``decisive oracle``.  No quadruple count
+runs here: its bound only confirms a witness the search finds anyway, and
+``decisive bound`` reports it.  Fewer colors are never searched: once every
+triple is covered, a 2- or 3-coloring has one taxon of each color inside a
+common locus, so it is rainbow.  Every non-decisive verdict carries a
 four-block partition witness that is re-checked before being returned.
 """
 

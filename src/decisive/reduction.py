@@ -12,7 +12,8 @@ Once every triple of taxa lies in some locus, the reduced hypergraph has a
 no-rainbow 4-coloring iff the original has one, and copies take their
 representative's color.  Dropping a dominated locus keeps every triple
 covered, by the locus that contains it.  The screens see only the first
-rule; the r = 4 search (``kernel_nrc4``) runs on the result of both.  No 2-
+rule; the r = 4 search (``kernel_nrc4``) runs on the rows both leave, with
+one guess count and no scan for an uncovered triple: each is a taxon's.  No 2-
 or 3-coloring of the kernel needs searching: after the triple screen one
 representative of each color lies in a common locus, so every such coloring
 is rainbow.
@@ -25,16 +26,16 @@ from functools import cached_property
 from itertools import groupby
 from typing import Optional
 
-from .core import Coloring, CoveragePattern, Hypergraph, uncovered_set
+from .core import Coloring, CoveragePattern, incidence_rows, uncovered_set
 from .errors import InvalidInstanceError
 from .nrc import (
     DEFAULT_SEARCH_CAP,
     RULE_EXHAUSTED,
     RULE_NON_NEIGHBOR,
     NrcOutcome,
-    check_budget,
     non_neighbor_coloring,
-    nrc,
+    nrc,  # noqa: F401  # unused here, but perfbench/tracing.py binds reduction.nrc
+    nrc4_rows,
 )
 
 
@@ -61,17 +62,6 @@ class ReducedInstance:
     copies: dict[int, tuple[int, ...]]  # representative -> all identical source rows
 
     @cached_property
-    def hypergraph(self) -> Hypergraph:
-        """Columns of the reduced matrix as edges; built only for a search."""
-        rows = self.matrix.rows
-        edges = []
-        for j in range(self.matrix.k):
-            edge = tuple(p for p, row in enumerate(rows) if (row >> j) & 1)
-            if edge:
-                edges.append(edge)
-        return Hypergraph(max(len(rows), 1), tuple(edges))
-
-    @cached_property
     def searched(self) -> "ReducedInstance":
         """The instance ``kernel_nrc4`` searches: this one after
         ``drop_dominated_loci``."""
@@ -88,11 +78,7 @@ class ReducedInstance:
 
 def incidence_matrix(pattern: CoveragePattern) -> IncidenceMatrix:
     """Exact bit matrix in taxon/locus input order."""
-    rows = [0] * pattern.n
-    for j, (_name, members) in enumerate(pattern.loci):
-        bit = 1 << j
-        for i in members:
-            rows[i] |= bit
+    rows = incidence_rows(pattern.n, pattern.locus_subsets())
     return IncidenceMatrix(pattern.n, pattern.k, tuple(rows))
 
 
@@ -191,20 +177,18 @@ def kernel_nrc4(
 ) -> NrcOutcome:
     """4-NRC of the source by an r = 4 search on its kernel after dropping
     dominated loci (``ri.searched``), the witness lifted to the source taxa.
-    Exact once every triple is covered: two copies colored apart would share
-    the locus covering one of them and a taxon of each other color, and make
-    it rainbow.  The search is refused before it starts when an exhaustive
-    one would make more than ``guess_cap`` guesses."""
+    Requires every triple of taxa to lie in a locus, as ``zero_and_screen``
+    finds; then it is exact: two copies colored apart would share the locus
+    covering one of them and a taxon of each other color, and make it
+    rainbow.  The kernel's rows are searched as they are, with one guess count
+    and no non-neighbor scan: each row is a taxon's, so no triple of them is
+    uncovered.  The search is refused before it starts when an exhaustive one
+    would make more than ``guess_cap`` guesses."""
     kernel = ri.searched
     if kernel.n_reduced < 4:
         return NrcOutcome(None, RULE_EXHAUSTED)
-    check_budget(
-        4,
-        kernel.n_reduced,
-        guess_cap,
-        f"the kernel of {kernel.source.n} taxa has {kernel.n_reduced} rows",
-    )
-    outcome = nrc(kernel.hypergraph, 4, guess_cap, parallel)
+    subject = f"the kernel of {kernel.source.n} taxa has {kernel.n_reduced} rows"
+    outcome = nrc4_rows(kernel.matrix.rows, guess_cap, parallel, subject)
     if outcome.found:
         return NrcOutcome(lift_coloring(kernel, outcome.witness), outcome.rule)
     return outcome

@@ -90,6 +90,17 @@ def planted_pattern(
     return CoveragePattern.from_sets([f"t{i}" for i in range(n)], loci)
 
 
+def kernel_hypergraph(ri) -> Hypergraph:
+    """The hypergraph of a ``ReducedInstance``'s matrix: its rows as nodes,
+    its nonempty columns as edges in locus order."""
+    rows = ri.matrix.rows
+    edges = [
+        tuple(p for p, row in enumerate(rows) if row >> j & 1)
+        for j in range(ri.matrix.k)
+    ]
+    return Hypergraph(len(rows), tuple(e for e in edges if e))
+
+
 def reference_no_rainbow_colorings(h: Hypergraph, r: int) -> list[Coloring]:
     """All surjective no-rainbow r-colorings by a plain nested loop."""
     out = []

@@ -2,11 +2,14 @@
 
 import json
 import logging
+import os
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
+from itertools import combinations
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -240,6 +243,53 @@ PATTERN_COMMANDS = [
 ]
 
 
+# how the report is written: its style, whether it goes to --out, and the
+# DECISIVE_LOG value (None: unset), valid or not
+OUTPUTS = st.tuples(
+    st.sampled_from(["json", "text"]),
+    st.booleans(),
+    st.sampled_from([None, "debug", "Info", "WARNING", "error", "bogus", ""]),
+)
+
+
+def run_total(directory, schema, argv, output) -> None:
+    """Run the CLI with the drawn output settings and check that it ends in
+    one of the four exit codes, with its report where it belongs: an error
+    on stderr as JSON and no --out file, else the report in the drawn style
+    (an emit command's on stdout with --out, else on stderr; any other
+    command's in --out, else on stdout)."""
+    style, to_file, log = output
+    out_file = directory / "out.txt"
+    argv = argv + ["--report", style] + (["--out", str(out_file)] if to_file else [])
+    env = {} if log is None else {"DECISIVE_LOG": log}
+    out, err = StringIO(), StringIO()
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        if log is None:
+            os.environ.pop("DECISIVE_LOG", None)
+        code = run(argv)
+    assert code in (EXIT_NO_WITNESS, EXIT_WITNESS, EXIT_INPUT_ERROR,
+                    EXIT_CAP_EXCEEDED)
+    if code in (EXIT_INPUT_ERROR, EXIT_CAP_EXCEEDED):
+        assert out.getvalue() == "" and not out_file.exists()
+        report = json.loads(err.getvalue())
+        assert set(report["error"]) == {"type", "message"}
+    else:
+        if argv[0].startswith("emit-"):
+            text = (out if to_file else err).getvalue()
+        else:
+            text = out_file.read_text() if to_file else out.getvalue()
+        if style == "json":
+            report = json.loads(text)
+        else:
+            lines = text.splitlines(keepends=True)
+            assert lines and all(line.endswith("\n") for line in lines)
+            pairs = [line[:-1].split(": ", 1) for line in lines]
+            report = {key: json.loads(value) for key, value in pairs}
+            assert list(report) == sorted(report) and len(report) == len(lines)
+    assert report["exit_code"] == code
+    jsonschema.validate(report, schema)
+
+
 class TestParserProperties:
     @given(PATTERN_TEXT, st.sampled_from(["matrix-csv", "locus-list"]))
     @example('taxon,L\n"a\rb",1\n', "matrix-csv")
@@ -288,22 +338,17 @@ class TestParserProperties:
         EDGE_LIST_BYTES,
         st.sampled_from([("nrc", "--search-cap=2000"), ("oracle", "--oracle-cap=6")]),
         st.sampled_from(["2", "3", "4"]),
+        OUTPUTS,
     )
-    @example(HUGE_NODE_COUNT, ("nrc", "--search-cap=2000"), "4")
+    @example(HUGE_NODE_COUNT, ("nrc", "--search-cap=2000"), "4", ("json", False, None))
     def test_run_is_total_on_edge_lists(
-        self, tmp_path_factory, schema, data, command, r
+        self, tmp_path_factory, schema, data, command, r, output
     ):
-        f = tmp_path_factory.mktemp("edge-list") / "h.txt"
+        directory = tmp_path_factory.mktemp("edge-list")
+        f = directory / "h.txt"
         f.write_bytes(data)
-        out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run([command[0], command[1], "--r", r, "--input", str(f),
-                        "--format", "edge-list"])
-        assert code in (EXIT_NO_WITNESS, EXIT_WITNESS, EXIT_INPUT_ERROR,
-                        EXIT_CAP_EXCEEDED)
-        report = json.loads(out.getvalue() or err.getvalue())
-        assert report["exit_code"] == code
-        jsonschema.validate(report, schema)
+        run_total(directory, schema, [*command, "--r", r, "--input", str(f),
+                                      "--format", "edge-list"], output)
 
     @given(
         st.one_of(
@@ -311,25 +356,19 @@ class TestParserProperties:
             PATTERN_FILES,
         ),
         st.sampled_from(PATTERN_COMMANDS),
+        OUTPUTS,
     )
-    @example(("taxon,L\na,1\nb,1\nc,1\n", "matrix-csv"), ("bound",))
+    @example(("taxon,L\na,1\nb,1\nc,1\n", "matrix-csv"), ("bound",),
+             ("json", False, None))
     def test_run_is_total_on_patterns(
-        self, tmp_path_factory, schema, source, command
+        self, tmp_path_factory, schema, source, command, output
     ):
         text, fmt = source
-        f = tmp_path_factory.mktemp("pattern") / "p.txt"
+        directory = tmp_path_factory.mktemp("pattern")
+        f = directory / "p.txt"
         f.write_text(text, encoding="utf-8")
-        out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run([*command, "--input", str(f), "--format", fmt])
-        assert code in (EXIT_NO_WITNESS, EXIT_WITNESS, EXIT_INPUT_ERROR,
-                        EXIT_CAP_EXCEEDED)
-        # errors and the emit commands' reports go to stderr
-        on_stderr = (code in (EXIT_INPUT_ERROR, EXIT_CAP_EXCEEDED)
-                     or command[0].startswith("emit-"))
-        report = json.loads((err if on_stderr else out).getvalue())
-        assert report["exit_code"] == code
-        jsonschema.validate(report, schema)
+        run_total(directory, schema, [*command, "--input", str(f), "--format", fmt],
+                  output)
 
 
 class TestCheck:
@@ -376,8 +415,20 @@ class TestCheck:
         assert report["error"]["type"] == "input"
         jsonschema.validate(report, schema)
 
-    def test_bad_flag_exit_two(self, capsys):
+    def test_bad_flag_exit_two(self, tmp_path, capsys):
         assert run(["check", "--nope"]) == EXIT_INPUT_ERROR
+        # every 4-set of five taxa: decisive, found by a search of 5 nodes
+        f = tmp_path / "p.loci"
+        f.write_text("".join(
+            f"L{j}: " + " ".join(f"t{i}" for i in q) + "\n"
+            for j, q in enumerate(combinations(range(5), 4))
+        ))
+        for command, flag in [("check", "--search-cap"), ("nrc", "--search-cap"),
+                              ("subset", "--search-cap"), ("oracle", "--oracle-cap")]:
+            args = [command, "--input", str(f), "--format", "locus-list"]
+            assert run(args) == EXIT_NO_WITNESS
+            assert run(args + [f"{flag}=-1"]) == EXIT_INPUT_ERROR
+            assert "must not be negative, got -1" in capsys.readouterr().err
         capsys.readouterr()
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    kernel_hypergraph,
     random_hypergraph,
     random_uniform_hypergraph,
     reference_class_completes,
@@ -24,7 +25,13 @@ from conftest import (
     reference_no_rainbow_colorings,
 )
 from decisive.cli import EXIT_CAP_EXCEEDED, run
-from decisive.core import Coloring, CoveragePattern, Hypergraph, verify_no_rainbow
+from decisive.core import (
+    Coloring,
+    CoveragePattern,
+    Hypergraph,
+    incidence_rows,
+    verify_no_rainbow,
+)
 from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
     DEFAULT_SEARCH_CAP,
@@ -307,7 +314,7 @@ class TestCompletion:
             b_size = data.draw(st.integers(1, n - 2 - a_size))
             guessed.append(tuple(sorted(order[a_size:a_size + b_size])))
         colored = {v for c in guessed for v in c}
-        rows = nrc_module._incidence_rows(n, list(h.edges))
+        rows = incidence_rows(n, h.edges)
         reach = -1  # the edges that meet every guessed class
         for c in guessed:
             meets = 0
@@ -327,7 +334,7 @@ class TestCompletion:
     def test_a_node_met_late_joins_on_a_later_pass(self):
         # node 1 shares an edge only with 3, which joins after 1 is tested
         h = Hypergraph(6, ((0, 3, 5), (1, 3, 5)))
-        rows = nrc_module._incidence_rows(6, list(h.edges))
+        rows = incidence_rows(6, h.edges)
         rest = {1 << v: rows[v] for v in range(5)}
         assert nrc_module._complete(rest, rows[5], 0b11111) == (0b01011, 0b10100)
         assert reference_last_split(h, [(5,)]) == ((0, 1, 3), (2, 4))
@@ -349,6 +356,40 @@ class TestCompletion:
                     reference_last_split(h, guessed)
                 )
         assert min(found.values()) >= 100
+
+
+class TestSmallEdges:
+    """Edges of fewer than r nodes never change an r-NRC search: one that
+    meets A and holds an (r-1)-set outside A, or that meets every guessed
+    class and holds two uncolored nodes, has r or more nodes."""
+
+    FAMILIES = {
+        "mixed": lambda rng: random_hypergraph(
+            rng, n_range=(4, 9), max_edges=12, edge_size_range=(2, 6)
+        ),
+        "planted": lambda rng: planted(
+            rng, tuple(rng.randint(1, most) for most in (2, 2, 3, 3))
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rule_and_witness_unchanged(self, family):
+        rng = random.Random(f"small-edges-{family}")
+        found = {3: 0, 4: 0}
+        for _ in range(150):
+            h = self.FAMILIES[family](rng)
+            n = h.node_count
+            for r, search in ((3, nrc3), (4, nrc4)):
+                small = [
+                    tuple(rng.sample(range(n), rng.randint(1, r - 1)))
+                    for _ in range(rng.randint(1, 8))
+                ]
+                edges = list(h.edges) + small
+                rng.shuffle(edges)
+                out = search(h)
+                assert search(Hypergraph(n, tuple(edges))) == out
+                found[r] += out.found
+        assert found[3] >= 5 and found[4] >= 30
 
 
 class TestWitnessOrder:
@@ -418,7 +459,7 @@ class TestNodeScreen:
         for _ in range(30):
             h = self.FAMILIES[family](rng)
             n = h.node_count
-            rows, _ = nrc_module._search_input(h, 4)
+            rows = incidence_rows(n, h.edges)
             triples, dead = [], []  # shared by the A's, as in the scan
             for a in (a for i in range(1, n // 4 + 1)
                       for a in combinations(range(n), i)):
@@ -518,7 +559,7 @@ class TestGuessBudget:
         )
         kernel = reduce_pattern(p).searched
         assert kernel.n_reduced == 15
-        assert not nrc4(kernel.hypergraph).found
+        assert not nrc4(kernel_hypergraph(kernel)).found
         assert completions[0] == 0
 
     def test_default_budget_admits_18_nodes_and_refuses_19(self):

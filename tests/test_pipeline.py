@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     duplicated_pattern,
+    kernel_hypergraph,
     planted_pattern,
     random_pattern,
     reference_link_covers,
@@ -25,7 +26,7 @@ from decisive.core import (
     verify_no_rainbow,
 )
 from decisive.errors import SizeLimitError
-from decisive.nrc import nrc4
+from decisive.nrc import NrcOutcome, nrc4
 from decisive.oracle import brute_force_nrc
 from decisive.pipeline import (
     DECIDED_DIRECT,
@@ -40,7 +41,13 @@ from decisive.pipeline import (
     decisive_subset,
     partition_from_coloring,
 )
-from decisive.reduction import fpt_nrc4, reduce_pattern
+from decisive.reduction import (
+    fpt_nrc4,
+    kernel_nrc4,
+    lift_coloring,
+    reduce_pattern,
+    zero_and_screen,
+)
 
 # the package exports a function named nrc, which hides the module attribute
 nrc_module = importlib.import_module("decisive.nrc")
@@ -359,6 +366,42 @@ class TestDominatedLoci:
         assert shrunk >= 10  # the search ran on a smaller kernel
 
 
+class TestKernelSearch:
+    """On patterns with every triple covered, the kernel search on the rows
+    of ``ri.searched`` gives ``nrc4`` on that kernel's hypergraph, lifted."""
+
+    FAMILIES = {
+        "dense": lambda rng: dense_pattern(rng, (4, 9)),
+        "duplicated": dense_with_copies,
+        "nested": lambda rng: nested_pattern(rng, rng.random() < 0.5),
+        "planted": lambda rng: with_copies(
+            planted_pattern(rng, n_range=(5, 9)), rng, rng.randint(0, 3)
+        ),
+    }
+
+    def test_equals_nrc4_on_the_kernel_hypergraph(self):
+        seen = dict(searched=0, found=0, copies=0, dropped=0, small_edge=0)
+        for family, make in self.FAMILIES.items():
+            rng = random.Random(f"kernel-search-{family}")
+            for _ in range(150):
+                ri = reduce_pattern(make(rng))
+                kernel = ri.searched
+                if zero_and_screen(ri) is not None or kernel.n_reduced < 4:
+                    continue
+                h = kernel_hypergraph(kernel)
+                out = nrc4(h)
+                if out.found:
+                    out = NrcOutcome(lift_coloring(kernel, out.witness), out.rule)
+                assert kernel_nrc4(ri) == out
+                seen["searched"] += 1
+                seen["found"] += out.found
+                seen["copies"] += kernel.spares > 0
+                seen["dropped"] += kernel is not ri
+                seen["small_edge"] += any(len(e) < 4 for e in h.edges)
+        assert seen["searched"] >= 100
+        assert min(seen.values()) >= 30
+
+
 def grouped_miss(rng: random.Random, n: int, groups: int, pure: int, k: int):
     """Taxa in ``groups`` nonempty random groups; locus j drops group
     j mod groups, and from locus ``pure`` on also one random taxon or one
@@ -401,7 +444,7 @@ def screened_search(p: CoveragePattern) -> bool:
     kernel = reduce_pattern(p).searched
     return (
         decide(p).decided_by in (DECIDED_FPT, DECIDED_DIRECT)
-        and link_screen_fires(kernel.hypergraph)
+        and link_screen_fires(kernel_hypergraph(kernel))
         and link_screen_fires(build_hypergraph(p))
     )
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import duplicated_pattern, random_pattern
+from conftest import duplicated_pattern, kernel_hypergraph, random_pattern
 from decisive.bounds import star_hypergraph
 from decisive.core import (
     Coloring,
@@ -71,7 +71,7 @@ class TestDedup:
         )
         ri = reduce_pattern(p)
         # rows: a=01, b=01, c=11, d=10 -> reps a, c, d
-        assert ri.hypergraph.edges == ((0, 1), (1, 2))
+        assert kernel_hypergraph(ri).edges == ((0, 1), (1, 2))
 
 
 def named_loci(n: int, loci: list) -> CoveragePattern:
@@ -96,7 +96,7 @@ class TestDropDominatedLoci:
         kernel = drop_dominated_loci(reduce_pattern(p))
         assert kept_loci(kernel) == [0, 1]
         # kernel rows t0, t1 (= t2), t3
-        assert kernel.hypergraph.edges == ((1, 2), (0, 1))
+        assert kernel_hypergraph(kernel).edges == ((1, 2), (0, 1))
 
     def test_nested_chain_keeps_the_largest(self):
         # L0 < L1 < L2, and L3 beside them; t2 and t3 differ only in L1
