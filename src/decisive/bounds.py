@@ -16,7 +16,7 @@ from typing import Optional
 
 from .core import CoveragePattern, Hypergraph, uncovered_set
 from .errors import InvalidInstanceError, SizeLimitError
-from .reduction import incidence_matrix
+from .reduction import full_row, incidence_matrix
 
 # quadruple counting: inclusion-exclusion up to this many loci, else direct
 # enumeration of at most this many containment tests
@@ -35,7 +35,7 @@ class BoundReport:
     triple_coverage_ok: bool
     first_uncovered_triple: Optional[tuple[int, int, int]]
     rooted: bool
-    common_taxon: Optional[int]
+    common_taxon: Optional[int]  # the first taxon in every locus
 
 
 def a_recurrence(n: int, r: int) -> int:
@@ -126,15 +126,6 @@ def triple_coverage(
     return gap is None, gap
 
 
-def common_taxon(pattern: CoveragePattern) -> Optional[int]:
-    """A taxon covered by every locus, if one exists (smallest index)."""
-    return _full_row(incidence_matrix(pattern).rows, pattern.k)
-
-
-def _full_row(rows: tuple[int, ...], k: int) -> Optional[int]:
-    return rows.index((1 << k) - 1) if (1 << k) - 1 in rows else None
-
-
 def rooted_decide(pattern: CoveragePattern) -> Optional[bool]:
     """Exact polynomial answer for rooted patterns; None when inapplicable.
 
@@ -144,7 +135,7 @@ def rooted_decide(pattern: CoveragePattern) -> Optional[bool]:
     if pattern.n < 4:
         raise InvalidInstanceError("rooted test needs at least 4 taxa")
     rows = incidence_matrix(pattern).rows
-    if _full_row(rows, pattern.k) is None:
+    if full_row(rows, pattern.k) is None:
         return None
     return uncovered_set(rows, 3) is None
 
@@ -155,7 +146,7 @@ def bound_report(pattern: CoveragePattern) -> BoundReport:
         raise InvalidInstanceError("the bound report needs at least 4 taxa")
     rows = incidence_matrix(pattern).rows
     uncovered = uncovered_set(rows, 3)
-    root = _full_row(rows, pattern.k)
+    root = full_row(rows, pattern.k)
     return BoundReport(
         n=pattern.n,
         k=pattern.k,

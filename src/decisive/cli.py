@@ -242,9 +242,16 @@ def _coloring_json(coloring: Optional[Coloring]) -> Optional[list[int]]:
 
 
 def _cmd_nrc(args) -> tuple[int, dict]:
+    # only the r = 4 search runs in parallel, and r = 2 searches nothing
+    # that a guess budget bounds
+    if args.parallel and args.r != 4:
+        raise InputFormatError(f"--parallel applies only with --r 4, not --r {args.r}")
+    if args.search_cap is not None and args.r == 2:
+        raise InputFormatError("--search-cap applies only with --r 3 or 4, not --r 2")
     h = _load_hypergraph(args)
+    cap = DEFAULT_SEARCH_CAP if args.search_cap is None else args.search_cap
     start = time.perf_counter()
-    outcome = nrc(h, args.r, guess_cap=args.search_cap, parallel=args.parallel)
+    outcome = nrc(h, args.r, guess_cap=cap, parallel=args.parallel)
     return (EXIT_WITNESS if outcome.found else EXIT_NO_WITNESS), dict(
         r=args.r,
         rule=outcome.rule,
@@ -275,11 +282,11 @@ def _cmd_reduce(args) -> tuple[int, dict]:
         k=pattern.k,
         n_reduced=ri.n_reduced,
         spares=ri.spares,
-        representatives=[pattern.taxa[i] for i in ri.representatives],
+        representatives=[pattern.taxa[members[0]] for members in ri.classes],
         reduced_rows=[ri.matrix.row_string(i) for i in range(ri.n_reduced)],
         copy_classes={
-            pattern.taxa[rep]: [pattern.taxa[i] for i in members]
-            for rep, members in ri.copies.items()
+            pattern.taxa[members[0]]: [pattern.taxa[i] for i in members]
+            for members in ri.classes
         },
         row_count_screen=reduction.row_count_screen(ri),
         dominated_loci=[
@@ -380,9 +387,13 @@ _FLAGS = {
         "type": count,
         "default": DEFAULT_SEARCH_CAP,
         "help": "guess budget of the exhaustive search; a larger search is "
-        "refused (exit 3) before it starts",
+        "refused (exit 3) before it starts; nrc takes it with --r 3 or 4 only",
     },
-    "--parallel": {"action": "store_true"},
+    "--parallel": {
+        "action": "store_true",
+        "help": "split the 4-NRC search over worker processes; nrc takes it "
+        "with --r 4 only",
+    },
 }
 
 
@@ -401,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                 options = {**options, "choices": formats, "default": formats[0]}
             if flag in flags or flag in ("--input", "--format", "--out", "--report"):
                 command.add_argument(flag, **options)
+    # nrc refuses --search-cap with --r 2, so it must see whether one was given
+    sub.choices["nrc"].set_defaults(search_cap=None)
     return parser
 
 
@@ -458,3 +471,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

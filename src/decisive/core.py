@@ -115,7 +115,8 @@ class Coloring:
 
 @dataclass(frozen=True)
 class ComponentPartition:
-    """Connected-component id per node; ids are 0-based and contiguous."""
+    """Connected-component id per node; ids are 0-based and contiguous, in
+    the order of each component's lowest node (node 0 is in component 0)."""
 
     ids: tuple[int, ...]
     count: int
@@ -126,42 +127,36 @@ def build_hypergraph(pattern: CoveragePattern) -> Hypergraph:
     return Hypergraph(pattern.n, tuple(pattern.locus_subsets()))
 
 
-class _DisjointSet:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def connected_components(h: Hypergraph) -> ComponentPartition:
-    """Partition of the nodes into chain-connected classes.
+    """Partition of the nodes into chain-connected classes, numbered in the
+    order of their lowest nodes.
 
-    Nodes that appear in no edge form singleton components.
+    Nodes that appear in no edge form singleton components.  A search from
+    each unlabelled node expands every edge it meets once, so the cost is
+    O(sum of the edge sizes).
     """
-    ds = _DisjointSet(h.node_count)
-    for edge in h.edges:
-        first = edge[0]
-        for v in edge[1:]:
-            ds.union(first, v)
-    relabel: dict[int, int] = {}
-    ids = []
-    for v in range(h.node_count):
-        root = ds.find(v)
-        if root not in relabel:
-            relabel[root] = len(relabel)
-        ids.append(relabel[root])
-    return ComponentPartition(tuple(ids), len(relabel))
+    edges_at: list[list[int]] = [[] for _ in range(h.node_count)]
+    for j, edge in enumerate(h.edges):
+        for v in edge:
+            edges_at[v].append(j)
+    expanded = [False] * len(h.edges)
+    ids = [-1] * h.node_count
+    count = 0
+    for root in range(h.node_count):
+        if ids[root] >= 0:
+            continue
+        ids[root] = count
+        stack = [root]
+        while stack:
+            for j in edges_at[stack.pop()]:
+                if not expanded[j]:
+                    expanded[j] = True
+                    for v in h.edges[j]:
+                        if ids[v] < 0:
+                            ids[v] = count
+                            stack.append(v)
+        count += 1
+    return ComponentPartition(tuple(ids), count)
 
 
 def is_rainbow(edge: Iterable[int], coloring: Coloring) -> bool:

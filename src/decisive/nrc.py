@@ -107,8 +107,7 @@ def nrc2(h: Hypergraph) -> NrcOutcome:
     parts = connected_components(h)
     if parts.count < 2:
         return NrcOutcome(None, RULE_EXHAUSTED)
-    first = parts.ids[0]
-    colors = tuple(1 if cid == first else 2 for cid in parts.ids)
+    colors = tuple(2 if cid else 1 for cid in parts.ids)
     return NrcOutcome(Coloring(2, colors), RULE_COMPONENT_SPLIT)
 
 

@@ -145,7 +145,7 @@ def _decide(
 
     # a taxon in every locus: with every triple covered, the rooted case is
     # decisive
-    if (1 << pattern.k) - 1 in ri.matrix.rows:
+    if reduction.full_row(ri.matrix.rows, pattern.k) is not None:
         return Verdict(True, None, DECIDED_ROOTED, stats()), kernel_rows
 
     outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
@@ -157,14 +157,6 @@ def _decide(
     else:
         verdict = Verdict(True, None, engine, stats(rule=outcome.rule))
     return verdict, kernel_rows
-
-
-def _coverage_counts(pattern: CoveragePattern) -> list[int]:
-    counts = [0] * pattern.n
-    for _name, members in pattern.loci:
-        for i in members:
-            counts[i] += 1
-    return counts
 
 
 def _remove_taxon(pattern: CoveragePattern, taxon: int) -> CoveragePattern:
@@ -195,7 +187,8 @@ def decisive_subset(
         verdict = decider(current)
         if verdict.decisive:
             return SubsetTrace(tuple(removals), current.taxa, verdict)
-        counts = _coverage_counts(current)
-        victim = min(range(current.n), key=lambda i: (counts[i], i))
+        # a taxon's coverage is the number of loci in its incidence row
+        counts = [row.bit_count() for row in reduction.incidence_matrix(current).rows]
+        victim = counts.index(min(counts))
         removals.append((current.taxa[victim], counts[victim]))
         current = _remove_taxon(current, victim)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import Coloring, CoveragePattern, incidence_rows, uncovered_set
 from .errors import InvalidInstanceError
@@ -54,12 +54,13 @@ class IncidenceMatrix:
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """The kernel: distinct rows, their representatives, and the copy classes."""
+    """The kernel: distinct rows and the copy class of each."""
 
     source: IncidenceMatrix
     matrix: IncidenceMatrix  # reduced matrix, one row per distinct source row
-    representatives: tuple[int, ...]  # source row index per reduced row
-    copies: dict[int, tuple[int, ...]]  # representative -> all identical source rows
+    # per reduced row, the source rows equal to it, ascending; the first
+    # represents the class
+    classes: tuple[tuple[int, ...], ...]
 
     @cached_property
     def searched(self) -> "ReducedInstance":
@@ -87,12 +88,10 @@ def dedup(matrix: IncidenceMatrix) -> ReducedInstance:
     classes: dict[int, list[int]] = {}  # row -> identical source rows, in order
     for i, row in enumerate(matrix.rows):
         classes.setdefault(row, []).append(i)
-    reduced_rows = tuple(classes)
     return ReducedInstance(
         source=matrix,
-        matrix=IncidenceMatrix(len(reduced_rows), matrix.k, reduced_rows),
-        representatives=tuple(members[0] for members in classes.values()),
-        copies={members[0]: tuple(members) for members in classes.values()},
+        matrix=IncidenceMatrix(len(classes), matrix.k, tuple(classes)),
+        classes=tuple(map(tuple, classes.values())),
     )
 
 
@@ -137,6 +136,13 @@ def drop_dominated_loci(ri: ReducedInstance) -> ReducedInstance:
     )
 
 
+def full_row(rows: Sequence[int], k: int) -> Optional[int]:
+    """The first index whose row holds all k loci (a taxon in every locus),
+    or None."""
+    full = (1 << k) - 1
+    return rows.index(full) if full in rows else None
+
+
 def zero_and_screen(ri: ReducedInstance) -> Optional[Coloring]:
     """Witness from three source taxa whose rows AND to zero (two such rows
     plus any third taxon will do), if any exist.
@@ -164,8 +170,8 @@ def lift_coloring(ri: ReducedInstance, reduced_coloring: Coloring) -> Coloring:
     if reduced_coloring.r != 4:
         raise InvalidInstanceError(f"cannot lift an r={reduced_coloring.r} coloring")
     assignment = [0] * ri.source.n
-    for color, rep in zip(reduced_coloring.assignment, ri.representatives):
-        for u in ri.copies[rep]:
+    for color, members in zip(reduced_coloring.assignment, ri.classes):
+        for u in members:
             assignment[u] = color
     return Coloring(4, tuple(assignment))
 
@@ -195,9 +201,7 @@ def kernel_nrc4(
 
 
 def fpt_nrc4(
-    pattern: CoveragePattern,
-    guess_cap: int = DEFAULT_SEARCH_CAP,
-    parallel: bool = False,
+    pattern: CoveragePattern, guess_cap: int = DEFAULT_SEARCH_CAP
 ) -> NrcOutcome:
     """Decide 4-NRC of H(S) through the kernel.
 
@@ -210,4 +214,4 @@ def fpt_nrc4(
     witness = zero_and_screen(ri)
     if witness is not None:
         return NrcOutcome(witness, RULE_NON_NEIGHBOR)
-    return kernel_nrc4(ri, guess_cap, parallel)
+    return kernel_nrc4(ri, guess_cap)

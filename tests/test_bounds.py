@@ -12,7 +12,6 @@ from decisive.bounds import (
     a_closed,
     a_recurrence,
     bound_report,
-    common_taxon,
     count_quadruples,
     lower_bound_screen,
     rooted_decide,
@@ -114,13 +113,13 @@ class TestRooted:
         p = CoveragePattern.from_sets(
             list("abcd"), [("L1", [0, 1, 2]), ("L2", [0, 2, 3])]
         )
-        assert common_taxon(p) == 0
+        assert bound_report(p).common_taxon == 0
 
     def test_no_common_taxon(self):
         p = CoveragePattern.from_sets(
             list("abcd"), [("L1", [0, 1]), ("L2", [2, 3])]
         )
-        assert common_taxon(p) is None
+        assert bound_report(p).common_taxon is None
         assert rooted_decide(p) is None
 
     def test_rooted_decisive_iff_triples_covered(self):

@@ -4,11 +4,14 @@ import json
 import logging
 import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -21,6 +24,7 @@ from decisive.cli import (
     EXIT_NO_WITNESS,
     EXIT_WITNESS,
     MAX_EDGE_LIST_NODES,
+    _COMMANDS,
     parse_hypergraph_file,
     parse_pattern_text,
     pattern_to_locus_list,
@@ -36,6 +40,7 @@ LOCUS_LIST = "L1: a b\nL2: b c\n"
 
 TWO_TRIPLES = "L1: t0 t1 t2\nL2: t1 t2 t3\n"
 FULL_LOCUS = "taxon,L\na,1\nb,1\nc,1\nd,1\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
 # a node count no per-node list can be built for
 HUGE_NODE_COUNT = b"nodes 100000000000000000000\n0 1 2 3\n"
 
@@ -429,6 +434,15 @@ class TestCheck:
             assert run(args) == EXIT_NO_WITNESS
             assert run(args + [f"{flag}=-1"]) == EXIT_INPUT_ERROR
             assert "must not be negative, got -1" in capsys.readouterr().err
+        # nrc splits only the r = 4 search, and r = 2 searches under no budget
+        for r, flag in [("3", "--parallel"), ("2", "--parallel"),
+                        ("2", "--search-cap=0")]:
+            args = ["nrc", "--r", r, "--input", str(f), "--format", "locus-list"]
+            assert run(args) == EXIT_NO_WITNESS
+            capsys.readouterr()
+            assert run(args + [flag]) == EXIT_INPUT_ERROR
+            message = json.loads(capsys.readouterr().err)["error"]["message"]
+            assert flag.split("=")[0] in message and f"--r {r}" in message
         capsys.readouterr()
 
     @pytest.mark.parametrize(
@@ -796,6 +810,31 @@ class TestOutput:
         assert run(["check", "--input", str(f), "--format", "matrix-csv"]) == 0
         capsys.readouterr()
         assert levels == [level]
+
+
+def test_schema_lists_every_command(schema):
+    assert schema["properties"]["command"]["enum"] == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("module", ["decisive", "decisive.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = python_m("--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{__version__}\n", "")
+    f = tmp_path / "p.loci"
+    f.write_text(TWO_TRIPLES)
+    done = python_m("check", "--input", str(f), "--format", "locus-list")
+    assert done.returncode == EXIT_WITNESS and done.stderr == ""
+    report = json.loads(done.stdout)
+    assert report["command"] == "check" and not report["verdict"]["decisive"]
 
 
 def test_pattern_serializer_column_order():

@@ -107,6 +107,24 @@ class TestComponents:
         parts = connected_components(Hypergraph(n, edges))
         assert set(parts.ids) == set(range(parts.count))
 
+    @given(st.integers(1, 9), st.data())
+    def test_components_numbered_by_lowest_node(self, n, data):
+        edges = data.draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=n).map(tuple),
+            max_size=6,
+        ))
+        # reference: each edge merges the blocks it meets
+        blocks = [{v} for v in range(n)]
+        for edge in edges:
+            met = [b for b in blocks if b & set(edge)]
+            blocks = [b for b in blocks if b not in met] + [set().union(*met)]
+        blocks.sort(key=min)
+        parts = connected_components(Hypergraph(n, tuple(edges)))
+        assert parts.count == len(blocks)
+        assert parts.ids == tuple(
+            next(c for c, block in enumerate(blocks) if v in block) for v in range(n)
+        )
+
 
 class TestRainbow:
     def test_full_rainbow_edge(self):

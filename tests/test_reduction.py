@@ -51,8 +51,7 @@ class TestDedup:
         m = IncidenceMatrix(3, 3, (0b101, 0b101, 0b110))
         ri = dedup(m)
         assert ri.n_reduced == 2
-        assert ri.representatives == (0, 2)
-        assert ri.copies == {0: (0, 1), 2: (2,)}
+        assert ri.classes == ((0, 1), (2,))
         assert ri.spares == 1
 
     def test_distinct_rows_identity(self):
@@ -105,8 +104,7 @@ class TestDropDominatedLoci:
         assert ri.n_reduced == 4
         kernel = drop_dominated_loci(ri)
         assert kept_loci(kernel) == [2, 3]
-        assert kernel.representatives == (0, 2, 4)
-        assert kernel.copies == {0: (0, 1), 2: (2, 3), 4: (4,)}
+        assert kernel.classes == ((0, 1), (2, 3), (4,))
         assert kernel.spares == 2 and ri.spares == 1
 
     def test_nothing_dominated_returns_the_same_instance(self):
@@ -140,7 +138,7 @@ class TestDropDominatedLoci:
         assert zero_and_screen(ri) is None  # every triple is covered
         kernel = drop_dominated_loci(ri)
         assert (ri.n_reduced, kernel.n_reduced) == (7, 6)
-        assert kernel.copies[0] == (0, 6)
+        assert kernel.classes[0] == (0, 6)
         witness = kernel_nrc4(ri).witness
         assert witness.assignment[0] == witness.assignment[6]
         assert verify_no_rainbow(build_hypergraph(p), witness)
