@@ -16,7 +16,7 @@ from typing import Optional
 
 from .core import CoveragePattern, Hypergraph, uncovered_set
 from .errors import InvalidInstanceError, SizeLimitError
-from .reduction import full_row, incidence_matrix
+from .reduction import full_row
 
 # quadruple counting: inclusion-exclusion up to this many loci, else direct
 # enumeration of at most this many containment tests
@@ -71,10 +71,6 @@ def count_quadruples(pattern: CoveragePattern) -> int:
     Uses inclusion-exclusion over locus subsets when k <= IE_MAX_LOCI,
     otherwise enumerates quadruples directly (refused above ENUM_WORK_CAP).
     """
-    return _count_quadruples(pattern, incidence_matrix(pattern).rows)
-
-
-def _count_quadruples(pattern: CoveragePattern, rows: tuple[int, ...]) -> int:
     n, k = pattern.n, pattern.k
     if n < 4:
         raise InvalidInstanceError("quadruple counting needs at least 4 taxa")
@@ -97,6 +93,7 @@ def _count_quadruples(pattern: CoveragePattern, rows: tuple[int, ...]) -> int:
             f"direct quadruple enumeration needs ~{work} containment tests, "
             f"cap is {ENUM_WORK_CAP}"
         )
+    rows = pattern.rows
     return sum(
         1
         for quad in combinations(range(n), 4)
@@ -122,7 +119,7 @@ def triple_coverage(
     """
     if pattern.n < 3:
         raise InvalidInstanceError("triple coverage needs at least 3 taxa")
-    gap = uncovered_set(incidence_matrix(pattern).rows, 3)
+    gap = uncovered_set(pattern.rows, 3)
     return gap is None, gap
 
 
@@ -134,7 +131,7 @@ def rooted_decide(pattern: CoveragePattern) -> Optional[bool]:
     """
     if pattern.n < 4:
         raise InvalidInstanceError("rooted test needs at least 4 taxa")
-    rows = incidence_matrix(pattern).rows
+    rows = pattern.rows
     if full_row(rows, pattern.k) is None:
         return None
     return uncovered_set(rows, 3) is None
@@ -144,13 +141,13 @@ def bound_report(pattern: CoveragePattern) -> BoundReport:
     """Every screen of this module, on one incidence matrix."""
     if pattern.n < 4:
         raise InvalidInstanceError("the bound report needs at least 4 taxa")
-    rows = incidence_matrix(pattern).rows
+    rows = pattern.rows
     uncovered = uncovered_set(rows, 3)
     root = full_row(rows, pattern.k)
     return BoundReport(
         n=pattern.n,
         k=pattern.k,
-        quadruple_count=_count_quadruples(pattern, rows),
+        quadruple_count=count_quadruples(pattern),
         threshold=comb(pattern.n - 1, 3),
         triple_coverage_ok=uncovered is None,
         first_uncovered_triple=uncovered,

@@ -15,6 +15,8 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -64,12 +66,86 @@ def parse_pattern_file(path: str, fmt: str) -> CoveragePattern:
     return parse_pattern_text(_read_text(path), fmt)
 
 
+def _parse_matrix_csv(text: str) -> CoveragePattern:
+    """A matrix-csv pattern: a header row of a first cell and the locus
+    names, then one row per taxon of its name and one 0/1 cell per locus.
+
+    Rows are read as the ``csv`` module reads them: a field may be quoted,
+    rows may end in CRLF, names and cells are stripped of padding, and empty
+    or blank rows are skipped.  A NUL anywhere is refused, with the line that
+    holds it, on every Python version.  Errors name the first bad line and
+    cell in file order.
+
+    Most files are in a plain form that needs no ``csv``: no quote, carriage
+    return or NUL, no line longer than ``csv.field_size_limit()``, and each
+    row's text after its first comma exactly ``0,1,...`` with k unpadded
+    cells.  Their cell block is checked at once on one numpy byte matrix.
+    Any other text, and any that fails that check, is read by ``csv``, which
+    finds the error or gives the same pattern.
+    """
+    plain = _read_plain_matrix(text)
+    taxa, locus_names, bits = plain if plain is not None else _read_csv_matrix(text)
+    try:
+        pattern = CoveragePattern(
+            tuple(taxa),
+            tuple(
+                (name, tuple(column.nonzero()[0].tolist()))
+                for name, column in zip(locus_names, np.ascontiguousarray(bits.T))
+            ),
+        )
+    except DecisiveError as exc:
+        raise InputFormatError(str(exc)) from exc
+    # the cached row accessor, filled from the bits in hand
+    pattern.__dict__["rows"] = _packed_rows(bits)
+    return pattern
+
+
+def _read_plain_matrix(text: str):
+    """The taxon names, locus names and m x k cell matrix (True where a taxon
+    is in a locus) of a matrix-csv text in the plain form, or None."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    locus_names = [name.strip() for name in lines[0].split(",")[1:]]
+    rows = list(map(str.partition, filter(None, lines[1:]), repeat(",")))
+    k = len(locus_names)
+    if not k or not rows:
+        return None
+    # Each row's cells and the newline after them, read two bytes at a time:
+    # a cell and the comma or newline after it.  The row of words is the
+    # template's plus 0 or 1 exactly when the row has k bare 0/1 cells.
+    block = ("\n".join(map(itemgetter(2), rows)) + "\n").encode()
+    if len(block) != 2 * k * len(rows):
+        return None
+    template = np.full(k, ord("0") | ord(",") << 8, dtype="<u2")
+    template[-1] = ord("0") | ord("\n") << 8
+    cells = np.frombuffer(block, dtype="<u2").reshape(-1, k) - template
+    if cells.max() > 1:
+        return None
+    taxa = list(map(str.strip, map(itemgetter(0), rows)))
+    return taxa, locus_names, cells.astype(bool)
+
+
+def _csv_lines(text: str):
+    """The lines of ``text`` for ``csv.reader``, refusing one that holds a
+    NUL: ``csv`` itself refuses it before Python 3.11 and keeps it after."""
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        if "\0" in line:
+            raise InputFormatError(f"line {lineno}: line contains NUL")
+        yield line
+
+
 # the two cell values; other cells are stripped of padding and checked again
 _BITS = frozenset(("0", "1"))
 
 
-def _parse_matrix_csv(text: str) -> CoveragePattern:
-    reader = csv.reader(io.StringIO(text))
+def _read_csv_matrix(text: str):
+    """``_read_plain_matrix``'s result for any matrix-csv text, read by
+    ``csv``; raises InputFormatError on the first bad line."""
+    reader = csv.reader(_csv_lines(text))
     try:
         rows = list(reader)
     except csv.Error as exc:  # an oversized field or a stray carriage return
@@ -80,8 +156,7 @@ def _parse_matrix_csv(text: str) -> CoveragePattern:
     if not locus_names:
         raise InputFormatError("line 1: header names no loci")
     # Errors name a line and a cell, so the cells are checked row by row, in
-    # file order; the loci are columns, so the checked cells are read column
-    # by column from one byte matrix.
+    # file order, and joined into one byte matrix.
     k = len(locus_names)
     taxa: list[str] = []
     cells: list[str] = []  # each row's cells joined, k characters of 0 and 1
@@ -103,17 +178,22 @@ def _parse_matrix_csv(text: str) -> CoveragePattern:
         taxa.append(row[0].strip())
         cells.append("".join(bits))
     matrix = np.frombuffer("".join(cells).encode(), dtype=np.uint8)
-    columns = (matrix.reshape(len(taxa), k) == ord("1")).T
-    try:
-        return CoveragePattern(
-            tuple(taxa),
-            tuple(
-                (name, tuple(np.flatnonzero(column).tolist()))
-                for name, column in zip(locus_names, columns)
-            ),
-        )
-    except DecisiveError as exc:
-        raise InputFormatError(str(exc)) from exc
+    return taxa, locus_names, matrix.reshape(len(taxa), k) == ord("1")
+
+
+def _packed_rows(bits) -> tuple[int, ...]:
+    """The incidence rows of an m x k cell matrix: bit j of row i is set iff
+    cell (i, j) is nonzero.  Each row is packed into 64-bit words, low bits
+    first, and the words are joined into one integer."""
+    m, k = bits.shape
+    width = -(-k // 64)  # words per row
+    packed = np.zeros((m, 8 * width), dtype=np.uint8)
+    packed[:, : -(-k // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    words = packed.view("<u8")
+    rows = words[:, 0].tolist()
+    for w in range(1, width):
+        rows = [row | high << 64 * w for row, high in zip(rows, words[:, w].tolist())]
+    return tuple(rows)
 
 
 def _parse_locus_list(text: str) -> CoveragePattern:
@@ -158,9 +238,8 @@ def pattern_to_matrix_csv(pattern: CoveragePattern) -> str:
         quoting=csv.QUOTE_ALL if raw_cr else csv.QUOTE_MINIMAL,
     )
     writer.writerow(header)
-    rows = reduction.incidence_matrix(pattern).rows
-    for i, taxon in enumerate(pattern.taxa):
-        writer.writerow([taxon] + [(rows[i] >> j) & 1 for j in range(pattern.k)])
+    for taxon, row in zip(pattern.taxa, pattern.rows):
+        writer.writerow([taxon] + [(row >> j) & 1 for j in range(pattern.k)])
     return out.getvalue()
 
 

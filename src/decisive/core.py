@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInstanceError
@@ -61,6 +62,18 @@ class CoveragePattern:
 
     def locus_subsets(self) -> list[tuple[int, ...]]:
         return [members for _, members in self.loci]
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The incidence rows: bit j of ``rows[i]`` is set iff taxon i is in
+        locus j.
+
+        Built from the loci on first read and kept on the instance, outside
+        the dataclass fields, so construction, equality, hashing and repr do
+        not see it.  The matrix-csv parser, which has the rows as bits
+        already, stores them here itself.
+        """
+        return tuple(incidence_rows(self.n, self.locus_subsets()))
 
 
 @dataclass(frozen=True)
@@ -206,9 +219,10 @@ def uncovered_set(rows: Sequence[int], size: int) -> Optional[tuple[int, ...]]:
     when the previous copy of its row is already in it: with c copies kept of
     each of d distinct rows, the outer levels range over about
     C(d + size - 2, size - 1) partial sets instead of C(c * d, size - 1).  The
-    innermost level does not check, as that would save no call: the scan
-    still reaches every copy-closed set in lexicographic order, so the first
-    set it finds is the first of all.
+    innermost level does not check, as the test would cost what it saves: the
+    scan still reaches every copy-closed set in lexicographic order, so the
+    first set it finds is the first of all.  The last two levels run inline,
+    with no call per partial set of size - 2.
     """
     if size < 1:
         raise InvalidInstanceError(f"set size must be positive, got {size}")
@@ -235,16 +249,26 @@ def _first_zero_and(
     acc: int,
     chosen: int,
 ) -> Optional[tuple[int, ...]]:
-    # the innermost level stays an inline loop: it runs O(n^size) times
+    # the last two levels run inline: they run O(n^size) times
+    end = len(keep)
     if size == 1:
-        for p in range(start, len(keep)):
+        for p in range(start, end):
             if acc & kept_rows[p] == 0:
                 return (keep[p],)
         return None
     missing = ~chosen
-    for p in range(start, len(keep) - size + 1):
+    if size == 2:
+        for p in range(start, end - 1):
+            if needs[p] & missing:
+                continue  # the previous copy of this row is not in the set
+            pair = acc & kept_rows[p]
+            for q in range(p + 1, end):
+                if pair & kept_rows[q] == 0:
+                    return (keep[p], keep[q])
+        return None
+    for p in range(start, end - size + 1):
         if needs[p] & missing:
-            continue  # the previous copy of this row is not in the set
+            continue
         rest = _first_zero_and(
             kept_rows, keep, needs, p + 1, size - 1,
             acc & kept_rows[p], chosen | 1 << p,

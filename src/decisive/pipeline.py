@@ -188,7 +188,7 @@ def decisive_subset(
         if verdict.decisive:
             return SubsetTrace(tuple(removals), current.taxa, verdict)
         # a taxon's coverage is the number of loci in its incidence row
-        counts = [row.bit_count() for row in reduction.incidence_matrix(current).rows]
+        counts = [row.bit_count() for row in current.rows]
         victim = counts.index(min(counts))
         removals.append((current.taxa[victim], counts[victim]))
         current = _remove_taxon(current, victim)

@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Optional, Sequence
 
-from .core import Coloring, CoveragePattern, incidence_rows, uncovered_set
+from .core import Coloring, CoveragePattern, uncovered_set
 from .errors import InvalidInstanceError
 from .nrc import (
     DEFAULT_SEARCH_CAP,
@@ -78,9 +78,9 @@ class ReducedInstance:
 
 
 def incidence_matrix(pattern: CoveragePattern) -> IncidenceMatrix:
-    """Exact bit matrix in taxon/locus input order."""
-    rows = incidence_rows(pattern.n, pattern.locus_subsets())
-    return IncidenceMatrix(pattern.n, pattern.k, tuple(rows))
+    """Exact bit matrix in taxon/locus input order, over the pattern's
+    rows."""
+    return IncidenceMatrix(pattern.n, pattern.k, pattern.rows)
 
 
 def dedup(matrix: IncidenceMatrix) -> ReducedInstance:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, subcommands, reports, exit codes."""
 
+import csv
 import json
 import logging
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -25,6 +27,8 @@ from decisive.cli import (
     EXIT_WITNESS,
     MAX_EDGE_LIST_NODES,
     _COMMANDS,
+    _read_csv_matrix,
+    _read_plain_matrix,
     parse_hypergraph_file,
     parse_pattern_text,
     pattern_to_locus_list,
@@ -32,7 +36,7 @@ from decisive.cli import (
     run,
 )
 from decisive import __version__, emit
-from decisive.core import CoveragePattern, build_hypergraph
+from decisive.core import CoveragePattern, build_hypergraph, incidence_rows
 from decisive.errors import InputFormatError, SizeLimitError
 
 MATRIX = "taxon,L1,L2\na,1,0\nb,1,1\nc,0,1\n"
@@ -95,9 +99,21 @@ class TestFormats:
             # the first bad cell of a row, stripped of its padding
             ("taxon,L1,L2,L3\na,1, x , y\n", "line 2: cell 3 must be 0 or 1, got 'x'"),
             ("taxon,L1\n\n \nb, 1 \nc,\n", "line 5: cell 2 must be 0 or 1, got ''"),
+            # every row but the last is plain
+            ("taxon,L1,L2\na,1,0\nb,0,1\nc,0,2\n",
+             "line 4: cell 3 must be 0 or 1, got '2'"),
+            # every cell is 0 or 1, but a comma is not where it belongs
+            ("taxon,L1,L2,L3\na,1,0,1\nb,0,1;1\n", "line 3: expected 4 cells, got 3"),
+            ("taxon,L1,L2\na,1,0\nb,0,11\n", "line 3: cell 3 must be 0 or 1, got '11'"),
+            # a NUL is refused on every Python version, by the line it is on,
+            # before any cell is checked
+            ("taxon,L1\na\x00,1\n", "line 2: line contains NUL"),
+            ('taxon,L1\n"a\nb\x00",1\n', "line 3: line contains NUL"),
+            ("taxon,L1\na,2\nb,1\x00\n", "line 3: line contains NUL"),
         ],
         ids=["cell-then-width", "width-then-cell", "width-in-row", "first-cell",
-             "blank-rows-counted"],
+             "blank-rows-counted", "last-row-cell", "comma-to-other", "comma-to-cell",
+             "nul", "nul-in-quoted-line", "nul-before-cells"],
     )
     def test_first_matrix_error_wins(self, text, message):
         with pytest.raises(InputFormatError) as info:
@@ -186,8 +202,10 @@ class TestFormats:
             ("nrc", "locus-list", b"L: a b\xff c d\n", "byte 6"),
             ("check", "matrix-csv", b"taxon,L\n" + b"a" * 131_073 + b",1\n",
              "line 2: field larger than field limit"),
+            ("check", "matrix-csv", b"taxon,L\na,1\nb\x00,1\n",
+             "line 3: line contains NUL"),
         ],
-        ids=["check-not-utf8", "nrc-not-utf8", "check-huge-field"],
+        ids=["check-not-utf8", "nrc-not-utf8", "check-huge-field", "check-nul"],
     )
     def test_bad_input_bytes_exit_two(
         self, tmp_path, capsys, schema, command, fmt, data, where
@@ -236,6 +254,42 @@ PATTERN_FILES = PATTERNS.flatmap(
          (pattern_to_locus_list(p), "locus-list")]
     )
 )
+# what an edit may put into a matrix-csv text: characters that csv reads
+# otherwise than the plain form does, and cells that are not 0 or 1
+MATRIX_EDITS = ',01 2;"\r\n\x00\t\xe9\u2028'
+# taxon names that csv reads otherwise than the plain form does, or not at all
+ODD_NAMES = st.sampled_from(
+    ['"t,x"', '"q"', " t\t", "\xe9t\u2028\x85", "a" * (csv.field_size_limit() + 1)]
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """The matrix-csv text of a small pattern, with CRLF line ends, an odd
+    taxon name and a few characters replaced or inserted, each at will."""
+    text = pattern_to_matrix_csv(draw(PATTERNS))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    if draw(st.booleans()):
+        lines = text.split("\n")
+        i = draw(st.integers(1, len(lines) - 2))
+        lines[i] = draw(ODD_NAMES) + "," + lines[i].partition(",")[2]
+        text = "\n".join(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))  # insert, or replace one character
+        text = text[:at] + draw(st.sampled_from(MATRIX_EDITS)) + text[at + cut:]
+    return text
+
+
+# patterns of up to 150 loci in matrix-csv, so a row spans up to three
+# 64-bit words; the last row is full, so no locus is empty
+WIDE_MATRICES = st.integers(1, 150).flatmap(
+    lambda k: st.lists(st.integers(0, (1 << k) - 1), max_size=5).map(
+        lambda rows: (k, rows + [(1 << k) - 1])
+    )
+)
+
 PATTERN_COMMANDS = [
     ("check", "--search-cap=2000"),
     ("subset", "--search-cap=2000"),
@@ -309,6 +363,60 @@ class TestParserProperties:
         if fmt == "locus-list":
             assert parse_pattern_text(pattern_to_locus_list(p), "locus-list") == p
 
+    @given(st.one_of(PATTERN_TEXT, matrix_texts()))
+    @example("taxon,L\na,1\nb,0\n")
+    @example("taxon,L1,L2\na,1,0\nb,0,2\n")
+    @example("taxon,L1,L2\na,1,0\nb,0;1\n")
+    @example("taxon,L1,L2\na,1,0\nb\x00,0,1\n")
+    def test_plain_read_matches_csv(self, text):
+        # whenever the plain read takes a text, csv reads the same matrix
+        plain = _read_plain_matrix(text)
+        if plain is None:
+            return
+        taxa, locus_names, bits = _read_csv_matrix(text)
+        assert (taxa, locus_names) == plain[:2]
+        assert bits.dtype == plain[2].dtype and np.array_equal(bits, plain[2])
+
+    def test_plain_read_takes_clean_text_only(self):
+        clean = "taxon,L1,L2\na,1,0\n\nb,0,1\nc,1,1"
+        taxa, locus_names, bits = _read_plain_matrix(clean)
+        assert (taxa, locus_names) == (["a", "b", "c"], ["L1", "L2"])
+        assert bits.tolist() == [[True, False], [False, True], [True, True]]
+        # each of these is left to csv, which reads the same pattern from
+        # the first four and refuses the others
+        pattern = parse_pattern_text(clean, "matrix-csv")
+        for edited in [clean.replace("a", '"a"'), clean.replace("\n", "\r\n"),
+                       clean.replace("\n\n", "\n \n"), clean.replace(",1,0", ", 1,0")]:
+            assert _read_plain_matrix(edited) is None, edited
+            assert parse_pattern_text(edited, "matrix-csv") == pattern
+        for edited in [clean.replace("a", "a\x00"), clean.replace(",1,0", ",1,2"),
+                       clean.replace(",1,0", ",1;0"), clean.replace("1,1", "1,\xe9")]:
+            assert _read_plain_matrix(edited) is None, edited
+            with pytest.raises(InputFormatError):
+                parse_pattern_text(edited, "matrix-csv")
+
+    @given(st.one_of(PATTERN_TEXT, matrix_texts()))
+    def test_parsed_rows_are_the_incidence_rows(self, text):
+        try:
+            p = parse_pattern_text(text, "matrix-csv")
+        except InputFormatError:
+            return
+        assert p.rows == tuple(incidence_rows(p.n, p.locus_subsets()))
+
+    @given(WIDE_MATRICES, st.booleans())
+    def test_rows_span_several_words(self, matrix, crlf):
+        k, rows = matrix
+        p = CoveragePattern.from_sets(
+            [f"t{i}" for i in range(len(rows))],
+            [(f"L{j}", [i for i, row in enumerate(rows) if row >> j & 1])
+             for j in range(k)],
+        )
+        text = pattern_to_matrix_csv(p)
+        parsed = parse_pattern_text(
+            text.replace("\n", "\r\n") if crlf else text, "matrix-csv"
+        )
+        assert parsed == p and parsed.rows == tuple(rows)
+
     @given(PATTERNS, st.sampled_from(["\n", "\r\n"]), st.data())
     def test_padded_matrix_parses_like_clean(self, p, newline, data):
         padding = st.sampled_from(["", " ", "\t", "  ", " \t "])
@@ -352,6 +460,8 @@ class TestParserProperties:
         directory = tmp_path_factory.mktemp("edge-list")
         f = directory / "h.txt"
         f.write_bytes(data)
+        if command[0] == "nrc" and r == "2":
+            command = ("nrc",)  # nrc refuses a guess budget with --r 2
         run_total(directory, schema, [*command, "--r", r, "--input", str(f),
                                       "--format", "edge-list"], output)
 

@@ -200,32 +200,42 @@ class TestUncoveredSet:
         # extended only while it holds the earlier kept copies of each row in
         # it, and only by positions that leave room for the rest of the set
         kept = [i for i, row in enumerate(rows) if rows[:i].count(row) < 3]
+        end = len(kept)
         earlier = [
             {q for q in range(p) if rows[kept[q]] == rows[kept[p]]}
-            for p in range(len(kept))
+            for p in range(end)
         ]
-        expected = 1 + sum(
-            1
+        singles, pairs = (
+            [t for t in combinations(range(end), m)
+             if t[-1] <= end - 3 + m - 1 and all(earlier[p] <= set(t) for p in t)]
             for m in (1, 2)
-            for t in combinations(range(len(kept)), m)
-            if t[-1] <= len(kept) - 3 + m - 1
-            and all(earlier[p] <= set(t) for p in t)
         )
-        calls = [0]
+        calls, reads = [0], [0]
         scan = core._first_zero_and
 
-        def counted(*args):
+        class CountedRows(list):
+            def __getitem__(self, p):
+                reads[0] += 1
+                return list.__getitem__(self, p)
+
+        def counted(kept_rows, *args):
             calls[0] += 1
-            return scan(*args)
+            return scan(CountedRows(kept_rows), *args)
 
         monkeypatch.setattr(core, "_first_zero_and", counted)
         assert uncovered_set(rows, 3) is None
-        assert calls[0] == expected
+        # one call for the empty set and one per single, whose row is read
+        # once; the last two levels run inline in that call: each pair reads
+        # its last row, and then the row of every later position, as the
+        # third element is not checked and no triple is uncovered
+        assert calls[0] == 1 + len(singles)
+        assert reads[0] == len(singles) + sum(end - t[-1] for t in pairs)
         if not shuffled:
-            # the top call; one per first copy (46); one per pair of taxon 0
-            # and a first copy (45); and from the i-th first copy, one per
-            # later first copy and one for its own second copy (46 - i)
-            assert expected == 1 + 46 + 45 + 45 * 46 // 2
+            # one single per first copy (46); one pair of taxon 0 and a first
+            # copy (45); and from the i-th first copy, one pair per later
+            # first copy and one with its own second copy (46 - i)
+            assert len(singles) == 46
+            assert len(pairs) == 45 + 45 * 46 // 2
 
     def test_size_must_be_positive(self):
         with pytest.raises(InvalidInstanceError):
