@@ -354,7 +354,7 @@ def _cmd_reduce(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
     ri = reduction.reduce_pattern(pattern)
     kept = 0  # loci left after dropping the dominated ones
-    for row in ri.searched.matrix.rows:
+    for row in ri.searched.rows:
         kept |= row
     return EXIT_NO_WITNESS, dict(
         n=pattern.n,
@@ -362,7 +362,9 @@ def _cmd_reduce(args) -> tuple[int, dict]:
         n_reduced=ri.n_reduced,
         spares=ri.spares,
         representatives=[pattern.taxa[members[0]] for members in ri.classes],
-        reduced_rows=[ri.matrix.row_string(i) for i in range(ri.n_reduced)],
+        reduced_rows=[
+            format(row, f"0{pattern.k}b")[::-1] if pattern.k else "" for row in ri.rows
+        ],
         copy_classes={
             pattern.taxa[members[0]]: [pattern.taxa[i] for i in members]
             for members in ri.classes

@@ -122,9 +122,6 @@ class Coloring:
     def is_surjective(self) -> bool:
         return set(self.assignment) == set(range(1, self.r + 1))
 
-    def color_class(self, color: int) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.assignment) if c == color)
-
 
 @dataclass(frozen=True)
 class ComponentPartition:

@@ -111,15 +111,13 @@ def nrc2(h: Hypergraph) -> NrcOutcome:
     return NrcOutcome(Coloring(2, colors), RULE_COMPONENT_SPLIT)
 
 
-def non_neighbor_coloring(n: int, r: int, group: tuple[int, ...]) -> Coloring:
-    """Distinct colors 1..|A| on the group, remaining colors cycled elsewhere."""
-    assignment = [0] * n
-    for idx, v in enumerate(group):
-        assignment[v] = idx + 1
-    spare_colors = r - len(group)
-    others = [v for v in range(n) if assignment[v] == 0]
-    for idx, v in enumerate(others):
-        assignment[v] = len(group) + 1 + (idx % spare_colors)
+def non_neighbor_coloring(n: int, group: tuple[int, ...]) -> Coloring:
+    """An r-coloring with r = |group| + 1: distinct colors 1..r - 1 on the
+    group, color r on every other node."""
+    r = len(group) + 1
+    assignment = [r] * n
+    for color, v in enumerate(group, start=1):
+        assignment[v] = color
     return Coloring(r, tuple(assignment))
 
 
@@ -135,7 +133,7 @@ def non_neighbor_witness(h: Hypergraph, r: int) -> Optional[Coloring]:
     if r < 3:
         return None  # sets of size 2..r-1 require r >= 3
     group = uncovered_set(incidence_rows(n, h.edges), r - 1)
-    return None if group is None else non_neighbor_coloring(n, r, group)
+    return None if group is None else non_neighbor_coloring(n, group)
 
 
 def _link_gap(

@@ -2,10 +2,11 @@
 
 A pattern is decisive iff its coverage hypergraph has no no-rainbow
 4-coloring.  ``decide`` runs one stack: cheap certificates first (full locus;
-uncovered triple and rooted case, both read off the kernel it builds once),
-then a search for a no-rainbow 4-coloring of that kernel with its dominated
-loci dropped (``reduction.drop_dominated_loci``), unless an exhaustive search
-would exceed the guess budget.  The search reads the kernel's rows, counts
+uncovered triple and rooted case, both read off the pattern's own rows), then,
+only if none fires, it builds the kernel and searches it for a no-rainbow
+4-coloring with its dominated loci dropped
+(``reduction.drop_dominated_loci``), unless an exhaustive search would
+exceed the guess budget.  The search reads the kernel's rows, counts
 its guesses once and looks for no uncovered triple again: each row is a
 taxon's.  The other engines (``nrc.nrc4`` on the raw hypergraph,
 ``reduction.fpt_nrc4``, ``oracle.brute_force_nrc``) stay public and are
@@ -65,9 +66,12 @@ class SubsetTrace:
 
 def partition_from_coloring(coloring: Coloring) -> Partition:
     """Color classes as a canonical partition: blocks ordered by smallest
-    member, members ascending."""
-    blocks = [coloring.color_class(q) for q in range(1, coloring.r + 1)]
-    return tuple(sorted(blocks, key=lambda block: block[0]))
+    member, members ascending.  A block is opened at its smallest member, so
+    one pass puts them in that order."""
+    blocks: dict[int, list[int]] = {}  # color -> its nodes, ascending
+    for v, color in enumerate(coloring.assignment):
+        blocks.setdefault(color, []).append(v)
+    return tuple(map(tuple, blocks.values()))
 
 
 def coloring_from_partition(blocks: Partition, n: int) -> Coloring:
@@ -97,13 +101,15 @@ def decide(
 ) -> Verdict:
     """Decide decisiveness.
 
-    Runs the screens in cost order, then searches the kernel left after
-    dropping dominated loci: the verdict reads "fpt" when that kernel has
+    Runs the screens in cost order on the pattern's rows; only when none
+    fires does it build the kernel and search what is left after dropping
+    dominated loci: the verdict reads "fpt" when that kernel has
     fewer rows than the pattern has taxa, "direct-search" when it is the input
     itself.  ``search_cap`` is the guess budget of the search (see
     ``nrc.nrc4_guesses``); a search over it raises SizeLimitError before it
     starts.  Each verdict is logged at debug level with its stage, the
-    pattern's size, the kernel's row count and the elapsed time.
+    pattern's size, the kernel's row count ("not built" when a screen
+    decided) and the elapsed time.
     """
     verdict, kernel_rows = _decide(pattern, search_cap, parallel)
     log.debug(
@@ -136,18 +142,16 @@ def _decide(
     if any(members == full for _name, members in pattern.loci):
         return Verdict(True, None, DECIDED_FULL_LOCUS, stats()), None
 
-    ri = reduction.reduce_pattern(pattern)
-    kernel_rows = ri.matrix.n
-    witness = reduction.zero_and_screen(ri)
+    witness = reduction.zero_and_screen(pattern)
     if witness is not None:
-        verdict = _non_decisive(pattern, witness, DECIDED_TRIPLE_GAP, stats())
-        return verdict, kernel_rows
+        return _non_decisive(pattern, witness, DECIDED_TRIPLE_GAP, stats()), None
 
     # a taxon in every locus: with every triple covered, the rooted case is
     # decisive
-    if reduction.full_row(ri.matrix.rows, pattern.k) is not None:
-        return Verdict(True, None, DECIDED_ROOTED, stats()), kernel_rows
+    if reduction.full_row(pattern.rows, pattern.k) is not None:
+        return Verdict(True, None, DECIDED_ROOTED, stats()), None
 
+    ri = reduction.reduce_pattern(pattern)
     outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
     engine = DECIDED_FPT if ri.searched.spares else DECIDED_DIRECT
     if outcome.found:
@@ -156,7 +160,7 @@ def _decide(
         )
     else:
         verdict = Verdict(True, None, engine, stats(rule=outcome.rule))
-    return verdict, kernel_rows
+    return verdict, ri.n_reduced
 
 
 def _remove_taxon(pattern: CoveragePattern, taxon: int) -> CoveragePattern:

@@ -1,7 +1,7 @@
 """Incidence-matrix kernelization and the fixed-parameter decision driver.
 
-Each taxon's row is stored as a k-bit integer (bit j set iff the taxon is in
-locus j).  Two reduction rules shrink the matrix:
+Each taxon's row is a k-bit integer (bit j set iff the taxon is in locus j),
+as ``CoveragePattern.rows`` holds it.  Two reduction rules shrink the rows:
 
 * striking out duplicate rows leaves at most 2^k nodes (``dedup``);
 * a locus contained in another adds no constraint (if the larger one is not
@@ -11,12 +11,13 @@ locus j).  Two reduction rules shrink the matrix:
 Once every triple of taxa lies in some locus, the reduced hypergraph has a
 no-rainbow 4-coloring iff the original has one, and copies take their
 representative's color.  Dropping a dominated locus keeps every triple
-covered, by the locus that contains it.  The screens see only the first
-rule; the r = 4 search (``kernel_nrc4``) runs on the rows both leave, with
-one guess count and no scan for an uncovered triple: each is a taxon's.  No 2-
-or 3-coloring of the kernel needs searching: after the triple screen one
-representative of each color lies in a common locus, so every such coloring
-is rainbow.
+covered, by the locus that contains it.  The screens (``zero_and_screen``,
+``full_row``) read the pattern's own rows and build no kernel; the kernel is
+built only for the r = 4 search (``kernel_nrc4``), which runs on the rows
+both rules leave, with one guess count and no scan for an uncovered triple:
+each is a taxon's.  No 2- or 3-coloring of the kernel needs searching: after
+the triple screen one representative of each color lies in a common locus,
+so every such coloring is rainbow.
 """
 
 from __future__ import annotations
@@ -40,26 +41,14 @@ from .nrc import (
 
 
 @dataclass(frozen=True)
-class IncidenceMatrix:
-    """n x k binary matrix; ``rows[i]`` has bit j set iff taxon i is in locus j."""
-
-    n: int
-    k: int
-    rows: tuple[int, ...]
-
-    def row_string(self, i: int) -> str:
-        """Row i as a 0/1 string, column 0 first."""
-        return format(self.rows[i], f"0{self.k}b")[::-1] if self.k else ""
-
-
-@dataclass(frozen=True)
 class ReducedInstance:
-    """The kernel: distinct rows and the copy class of each."""
+    """The kernel: the distinct rows of k loci and the copy class of each."""
 
-    source: IncidenceMatrix
-    matrix: IncidenceMatrix  # reduced matrix, one row per distinct source row
-    # per reduced row, the source rows equal to it, ascending; the first
-    # represents the class
+    k: int
+    source_rows: tuple[int, ...]
+    rows: tuple[int, ...]  # the distinct source rows, in first-occurrence order
+    # per row, the source rows equal to it, ascending; the first represents
+    # the class
     classes: tuple[tuple[int, ...], ...]
 
     @cached_property
@@ -70,33 +59,25 @@ class ReducedInstance:
 
     @property
     def n_reduced(self) -> int:
-        return self.matrix.n
+        return len(self.rows)
 
     @property
     def spares(self) -> int:
-        return self.source.n - self.n_reduced
+        return len(self.source_rows) - self.n_reduced
 
 
-def incidence_matrix(pattern: CoveragePattern) -> IncidenceMatrix:
-    """Exact bit matrix in taxon/locus input order, over the pattern's
-    rows."""
-    return IncidenceMatrix(pattern.n, pattern.k, pattern.rows)
-
-
-def dedup(matrix: IncidenceMatrix) -> ReducedInstance:
+def dedup(rows: Sequence[int], k: int) -> ReducedInstance:
     """Strike out duplicate rows, keeping first occurrences as representatives."""
     classes: dict[int, list[int]] = {}  # row -> identical source rows, in order
-    for i, row in enumerate(matrix.rows):
+    for i, row in enumerate(rows):
         classes.setdefault(row, []).append(i)
     return ReducedInstance(
-        source=matrix,
-        matrix=IncidenceMatrix(len(classes), matrix.k, tuple(classes)),
-        classes=tuple(map(tuple, classes.values())),
+        k, tuple(rows), tuple(classes), tuple(map(tuple, classes.values()))
     )
 
 
 def reduce_pattern(pattern: CoveragePattern) -> ReducedInstance:
-    return dedup(incidence_matrix(pattern))
+    return dedup(pattern.rows, pattern.k)
 
 
 def drop_dominated_loci(ri: ReducedInstance) -> ReducedInstance:
@@ -108,8 +89,8 @@ def drop_dominated_loci(ri: ReducedInstance) -> ReducedInstance:
     taken largest first, so a column is compared only with the kept columns
     of larger size, and equal columns meet in a dict.
     """
-    rows = ri.matrix.rows
-    columns = [0] * ri.matrix.k
+    rows = ri.rows
+    columns = [0] * ri.k
     for p, row in enumerate(rows):
         while row:
             low = row & -row
@@ -130,10 +111,7 @@ def drop_dominated_loci(ri: ReducedInstance) -> ReducedInstance:
         larger += kept
     if all(row & keep == row for row in rows):
         return ri
-    source = ri.source
-    return dedup(
-        IncidenceMatrix(source.n, source.k, tuple(row & keep for row in source.rows))
-    )
+    return dedup([row & keep for row in ri.source_rows], ri.k)
 
 
 def full_row(rows: Sequence[int], k: int) -> Optional[int]:
@@ -143,17 +121,17 @@ def full_row(rows: Sequence[int], k: int) -> Optional[int]:
     return rows.index(full) if full in rows else None
 
 
-def zero_and_screen(ri: ReducedInstance) -> Optional[Coloring]:
-    """Witness from three source taxa whose rows AND to zero (two such rows
-    plus any third taxon will do), if any exist.
+def zero_and_screen(pattern: CoveragePattern) -> Optional[Coloring]:
+    """Witness from three taxa whose rows AND to zero (two such rows plus any
+    third taxon will do), if any exist.
 
-    Such taxa share no locus, hence form a non-neighbor set in the original
-    hypergraph; the returned coloring is over the original taxa.
+    Such taxa share no locus, hence form a non-neighbor set in the pattern's
+    hypergraph; the returned coloring is over its taxa.
     """
-    if ri.source.n < 4:
+    if pattern.n < 4:
         raise InvalidInstanceError("zero-AND screen needs at least 4 source taxa")
-    group = uncovered_set(ri.source.rows, 3)
-    return None if group is None else non_neighbor_coloring(ri.source.n, 4, group)
+    group = uncovered_set(pattern.rows, 3)
+    return None if group is None else non_neighbor_coloring(pattern.n, group)
 
 
 def row_count_screen(ri: ReducedInstance) -> bool:
@@ -161,7 +139,7 @@ def row_count_screen(ri: ReducedInstance) -> bool:
 
     Then some two rows are complements, so the zero-AND screen must fire.
     """
-    return ri.n_reduced > 2 ** (ri.matrix.k - 1)
+    return ri.n_reduced > 2 ** (ri.k - 1)
 
 
 def lift_coloring(ri: ReducedInstance, reduced_coloring: Coloring) -> Coloring:
@@ -169,7 +147,7 @@ def lift_coloring(ri: ReducedInstance, reduced_coloring: Coloring) -> Coloring:
     copies inherit their representative's color."""
     if reduced_coloring.r != 4:
         raise InvalidInstanceError(f"cannot lift an r={reduced_coloring.r} coloring")
-    assignment = [0] * ri.source.n
+    assignment = [0] * len(ri.source_rows)
     for color, members in zip(reduced_coloring.assignment, ri.classes):
         for u in members:
             assignment[u] = color
@@ -193,8 +171,9 @@ def kernel_nrc4(
     kernel = ri.searched
     if kernel.n_reduced < 4:
         return NrcOutcome(None, RULE_EXHAUSTED)
-    subject = f"the kernel of {kernel.source.n} taxa has {kernel.n_reduced} rows"
-    outcome = nrc4_rows(kernel.matrix.rows, guess_cap, parallel, subject)
+    taxa = len(kernel.source_rows)
+    subject = f"the kernel of {taxa} taxa has {kernel.n_reduced} rows"
+    outcome = nrc4_rows(kernel.rows, guess_cap, parallel, subject)
     if outcome.found:
         return NrcOutcome(lift_coloring(kernel, outcome.witness), outcome.rule)
     return outcome
@@ -205,13 +184,13 @@ def fpt_nrc4(
 ) -> NrcOutcome:
     """Decide 4-NRC of H(S) through the kernel.
 
-    Runs the zero-AND screen, which finds an uncovered triple if one exists,
-    then the r = 4 kernel search.
+    Runs the zero-AND screen on the pattern's rows, which finds an uncovered
+    triple if one exists, then builds the kernel and runs the r = 4 search on
+    it.
     """
     if pattern.n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 taxa")
-    ri = reduce_pattern(pattern)
-    witness = zero_and_screen(ri)
+    witness = zero_and_screen(pattern)
     if witness is not None:
         return NrcOutcome(witness, RULE_NON_NEIGHBOR)
-    return kernel_nrc4(ri, guess_cap)
+    return kernel_nrc4(reduce_pattern(pattern), guess_cap)

@@ -91,12 +91,12 @@ def planted_pattern(
 
 
 def kernel_hypergraph(ri) -> Hypergraph:
-    """The hypergraph of a ``ReducedInstance``'s matrix: its rows as nodes,
+    """The hypergraph of a ``ReducedInstance``'s rows: its rows as nodes,
     its nonempty columns as edges in locus order."""
-    rows = ri.matrix.rows
+    rows = ri.rows
     edges = [
         tuple(p for p, row in enumerate(rows) if row >> j & 1)
-        for j in range(ri.matrix.k)
+        for j in range(ri.k)
     ]
     return Hypergraph(len(rows), tuple(e for e in edges if e))
 

@@ -103,10 +103,11 @@ class TestNrc2:
 class TestNonNeighbor:
     def test_pair_example(self):
         h = Hypergraph(4, ((0, 1, 2),))
-        # {0,3} lies in no edge: colors 1,2 there, colors 3,4 cycled elsewhere
-        col = non_neighbor_coloring(4, 4, (0, 3))
-        assert col.assignment == (1, 3, 4, 2)
+        # {0,3} lies in no edge: colors 1,2 there, color 3 elsewhere
+        col = non_neighbor_coloring(4, (0, 3))
+        assert col.assignment == (1, 3, 3, 2)
         assert verify_no_rainbow(h, col)
+        assert non_neighbor_witness(h, 3) == col
         assert non_neighbor_witness(h, 4) is not None
 
     def test_single_full_edge_has_no_witness(self):

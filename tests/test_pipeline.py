@@ -16,7 +16,7 @@ from conftest import (
     random_pattern,
     reference_link_covers,
 )
-from decisive import bounds
+from decisive import bounds, reduction
 from decisive.bounds import lower_bound_screen
 from decisive.core import (
     Coloring,
@@ -126,6 +126,60 @@ class TestDecideScreens:
         assert verify_no_rainbow(build_hypergraph(p), w)
 
 
+class TestKernelBuiltOnlyForTheSearch:
+    """The screens read the pattern's rows; the kernel is built once, and
+    only when the search runs."""
+
+    ROOTED = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4]]
+    QUADS = [list(q) for q in combinations(range(6), 4)]
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """The patterns passed to ``reduction.reduce_pattern``."""
+        calls = []
+        original = reduction.reduce_pattern
+
+        def counted(pattern):
+            calls.append(pattern)
+            return original(pattern)
+
+        monkeypatch.setattr(reduction, "reduce_pattern", counted)
+        return calls
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def refuse(pattern):
+            raise AssertionError("kernel built for a screen")
+
+        monkeypatch.setattr(reduction, "reduce_pattern", refuse)
+
+    @pytest.mark.parametrize(
+        "loci, n, label",
+        [
+            ([[0, 1, 2, 3, 4]], 5, DECIDED_FULL_LOCUS),
+            ([[0, 1, 2], [1, 2, 3]], 4, DECIDED_TRIPLE_GAP),
+            (ROOTED, 5, DECIDED_ROOTED),
+        ],
+    )
+    def test_screens_build_no_kernel(self, no_kernel, loci, n, label):
+        assert decide(make_pattern(loci, n)).decided_by == label
+
+    @pytest.mark.parametrize(
+        "loci, n, label",
+        [
+            (QUADS, 6, DECIDED_DIRECT),
+            ([q + [6] if 5 in q else q for q in QUADS], 7, DECIDED_FPT),
+        ],
+    )
+    def test_search_builds_the_kernel_once(self, reductions, loci, n, label):
+        p = make_pattern(loci, n)
+        assert decide(p).decided_by == label
+        assert reductions == [p]
+
+    def test_fpt_nrc4_screens_before_the_kernel(self, no_kernel):
+        assert fpt_nrc4(make_pattern([[0, 1, 2], [1, 2, 3]], 4)).found
+
+
 class TestDecideEngines:
     def test_star_pattern_decisive_by_search(self):
         from decisive.bounds import star_hypergraph
@@ -167,8 +221,9 @@ class TestDecideEngines:
         cases = [
             ([[0, 1, 2]], 3, "trivial-small-n, n=3, k=1, kernel rows not built"),
             ([[0, 1, 2, 3, 4]], 5, "full-locus, n=5, k=1, kernel rows not built"),
-            ([[0, 1, 2], [1, 2, 3]], 4, "triple-gap, n=4, k=2, kernel rows 3"),
-            (rooted, 5, "rooted, n=5, k=4, kernel rows 5"),
+            ([[0, 1, 2], [1, 2, 3]], 4,
+             "triple-gap, n=4, k=2, kernel rows not built"),
+            (rooted, 5, "rooted, n=5, k=4, kernel rows not built"),
             (quads, 6, "direct-search, n=6, k=15, kernel rows 6"),
             ([q + [6] if 5 in q else q for q in quads], 7,
              "fpt, n=7, k=15, kernel rows 6"),
@@ -384,9 +439,10 @@ class TestKernelSearch:
         for family, make in self.FAMILIES.items():
             rng = random.Random(f"kernel-search-{family}")
             for _ in range(150):
-                ri = reduce_pattern(make(rng))
+                p = make(rng)
+                ri = reduce_pattern(p)
                 kernel = ri.searched
-                if zero_and_screen(ri) is not None or kernel.n_reduced < 4:
+                if zero_and_screen(p) is not None or kernel.n_reduced < 4:
                     continue
                 h = kernel_hypergraph(kernel)
                 out = nrc4(h)

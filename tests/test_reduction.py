@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import duplicated_pattern, kernel_hypergraph, random_pattern
 from decisive.bounds import star_hypergraph
@@ -18,11 +19,9 @@ from decisive.nrc import nrc4
 from decisive.oracle import brute_force_nrc
 from decisive.pipeline import coloring_from_partition, decide
 from decisive.reduction import (
-    IncidenceMatrix,
     dedup,
     drop_dominated_loci,
     fpt_nrc4,
-    incidence_matrix,
     kernel_nrc4,
     lift_coloring,
     reduce_pattern,
@@ -32,37 +31,54 @@ from decisive.reduction import (
 
 
 class TestIncidenceMatrix:
+    """The kernel's source rows are the pattern's incidence rows."""
+
     def test_small_example(self):
         p = CoveragePattern.from_sets(list("abc"), [("L1", [0, 1]), ("L2", [1, 2])])
-        m = incidence_matrix(p)
-        assert [m.row_string(i) for i in range(3)] == ["10", "11", "01"]
+        ri = reduce_pattern(p)
+        assert (ri.k, ri.source_rows) == (2, (0b01, 0b11, 0b10))
 
     def test_uncovered_taxon_row_is_zero(self):
         p = CoveragePattern.from_sets(list("abc"), [("L1", [0, 1])])
-        assert incidence_matrix(p).rows[2] == 0
+        assert reduce_pattern(p).source_rows[2] == 0
 
     def test_full_locus_column(self):
         p = CoveragePattern.from_sets(list("abcd"), [("L", [0, 1, 2, 3])])
-        assert incidence_matrix(p).rows == (1, 1, 1, 1)
+        ri = reduce_pattern(p)
+        assert ri.source_rows == (1, 1, 1, 1) and ri.rows == (1,)
 
 
 class TestDedup:
     def test_duplicate_rows_collapse(self):
-        m = IncidenceMatrix(3, 3, (0b101, 0b101, 0b110))
-        ri = dedup(m)
+        ri = dedup((0b101, 0b101, 0b110), 3)
         assert ri.n_reduced == 2
         assert ri.classes == ((0, 1), (2,))
         assert ri.spares == 1
 
     def test_distinct_rows_identity(self):
-        m = IncidenceMatrix(3, 2, (0b01, 0b10, 0b11))
-        ri = dedup(m)
+        ri = dedup((0b01, 0b10, 0b11), 2)
         assert ri.n_reduced == 3 and ri.spares == 0
 
     def test_many_copies_of_one_row(self):
-        m = IncidenceMatrix(1000, 1, (1,) * 1000)
-        ri = dedup(m)
+        ri = dedup((1,) * 1000, 1)
         assert ri.n_reduced == 1 and ri.spares == 999
+
+    @given(st.integers(1, 8), st.data())
+    def test_classes_partition_the_rows(self, k, data):
+        # a few distinct rows, the zero row among them, each repeated
+        pool = data.draw(st.lists(st.integers(0, (1 << k) - 1), max_size=5))
+        rows = data.draw(st.lists(st.sampled_from([0] + pool), max_size=40))
+        ri = dedup(rows, k)
+        assert ri.source_rows == tuple(rows)
+        assert sorted(u for c in ri.classes for u in c) == list(range(len(rows)))
+        assert all(list(c) == sorted(c) for c in ri.classes)
+        assert all(ri.rows[i] == rows[c[0]] for i, c in enumerate(ri.classes))
+        assert all(rows[u] == ri.rows[i] for i, c in enumerate(ri.classes) for u in c)
+        assert len(set(ri.rows)) == ri.n_reduced
+        assert list(ri.rows) == list(dict.fromkeys(rows))  # first occurrences
+        colors = tuple(i % 4 + 1 for i in range(ri.n_reduced))
+        lifted = lift_coloring(ri, Coloring(4, colors)).assignment
+        assert all(lifted[u] == colors[i] for i, c in enumerate(ri.classes) for u in c)
 
     def test_reduced_hypergraph_uses_columns(self):
         p = CoveragePattern.from_sets(
@@ -83,9 +99,9 @@ def named_loci(n: int, loci: list) -> CoveragePattern:
 def kept_loci(ri) -> list[int]:
     """Loci with a column left in the reduced matrix."""
     used = 0
-    for row in ri.matrix.rows:
+    for row in ri.rows:
         used |= row
-    return [j for j in range(ri.matrix.k) if used >> j & 1]
+    return [j for j in range(ri.k) if used >> j & 1]
 
 
 class TestDropDominatedLoci:
@@ -114,10 +130,10 @@ class TestDropDominatedLoci:
         assert ri.searched is ri
 
     def test_empty_columns_are_dropped(self):
-        ri = dedup(IncidenceMatrix(3, 3, (0b011, 0b010, 0b001)))
+        ri = dedup((0b011, 0b010, 0b001), 3)
         assert drop_dominated_loci(ri) is ri  # the empty L2 carries no bit
         # beside an empty L2, L1 lies inside L0, and the two rows merge
-        kernel = drop_dominated_loci(dedup(IncidenceMatrix(2, 3, (0b011, 0b001))))
+        kernel = drop_dominated_loci(dedup((0b011, 0b001), 3))
         assert kept_loci(kernel) == [0] and kernel.n_reduced == 1
 
     def test_merged_rows_become_copies_and_the_witness_lifts(self):
@@ -135,7 +151,7 @@ class TestDropDominatedLoci:
         loci.append(next(m for m in loci if 0 in m) - {6})
         p = named_loci(7, loci)
         ri = reduce_pattern(p)
-        assert zero_and_screen(ri) is None  # every triple is covered
+        assert zero_and_screen(p) is None  # every triple is covered
         kernel = drop_dominated_loci(ri)
         assert (ri.n_reduced, kernel.n_reduced) == (7, 6)
         assert kernel.classes[0] == (0, 6)
@@ -149,7 +165,7 @@ class TestScreens:
         p = CoveragePattern.from_sets(
             list("abcd"), [("L1", [0, 1]), ("L2", [1, 2, 3])]
         )
-        w = zero_and_screen(reduce_pattern(p))
+        w = zero_and_screen(p)
         assert w is not None
         assert verify_no_rainbow(build_hypergraph(p), w)
 
@@ -164,32 +180,28 @@ class TestScreens:
                 ("L3", [0, 1, 4, 5]),
             ],
         )
-        w = zero_and_screen(reduce_pattern(p))
+        w = zero_and_screen(p)
         assert w is not None
         assert verify_no_rainbow(build_hypergraph(p), w)
 
     def test_screen_clean_when_rows_intersect(self):
         p = CoveragePattern.from_sets(list("abcd"), [("L", [0, 1, 2, 3])])
-        assert zero_and_screen(reduce_pattern(p)) is None
+        assert zero_and_screen(p) is None
 
     def test_row_count_screen_threshold(self):
-        assert not row_count_screen(
-            dedup(IncidenceMatrix(4, 3, (0b001, 0b010, 0b100, 0b111)))
-        )
-        assert row_count_screen(dedup(IncidenceMatrix(2, 1, (0, 1))))
+        assert not row_count_screen(dedup((0b001, 0b010, 0b100, 0b111), 3))
+        assert row_count_screen(dedup((0, 1), 1))
 
 
 class TestLifting:
     def test_r4_broadcast(self):
-        m = IncidenceMatrix(4, 2, (0b01, 0b01, 0b10, 0b11))
-        ri = dedup(m)
+        ri = dedup((0b01, 0b01, 0b10, 0b11), 2)
         lifted = lift_coloring(ri, Coloring(4, (1, 2, 3)))
         assert lifted.assignment == (1, 1, 2, 3)
 
     def test_insufficient_spares_rejected(self):
-        m = IncidenceMatrix(3, 2, (0b01, 0b10, 0b11))
         with pytest.raises(InvalidInstanceError):
-            lift_coloring(dedup(m), Coloring(3, (1, 2, 3)))
+            lift_coloring(dedup((0b01, 0b10, 0b11), 2), Coloring(3, (1, 2, 3)))
 
 
 class TestFptDriver:
