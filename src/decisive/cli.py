@@ -472,8 +472,8 @@ _FLAGS = {
     },
     "--parallel": {
         "action": "store_true",
-        "help": "split the 4-NRC search over worker processes; nrc takes it "
-        "with --r 4 only",
+        "help": "hand a 4-NRC search that outlasts a short in-process slice "
+        "to worker processes; nrc takes it with --r 4 only",
     },
 }
 

@@ -39,6 +39,12 @@ are skipped, so the witness stays the same.
 counts its guesses once and runs no non-neighbor scan, which would find
 nothing: each kernel row is a taxon, and every triple of taxa is covered.
 
+A parallel 4-NRC search runs the same scan in-process for up to
+``SLICE_UNITS`` units of work, one per A examined and one per completion, so
+a witness it finds there is the sequential one.  A search that outlasts the
+slice hands the A's left to worker processes, which take them in turn by
+position.  The screen facts that the slice found go with them.
+
 Witness soundness is always re-checkable with core.verify_no_rainbow.
 
 An exhaustive search makes at most ``nrc3_guesses`` / ``nrc4_guesses``
@@ -72,14 +78,19 @@ DEFAULT_SEARCH_CAP = 10**7
 # for thousands of nodes, and from about 9,500 nodes gives a number with more
 # digits than int -> str converts.
 GUESS_COUNT_LIMIT = 10**18
-# A parallel search runs in-process below this many guesses.  Starting and
-# joining two worker processes costs 5-7 ms on a 2-core x86 VM.  Exhaustive
-# searches break even between 11 and 12 nodes: star_hypergraph(11, 4) (7,480
-# guesses) took 14-16 ms in-process against 16-18 ms in two workers, and
-# star_hypergraph(12, 4) (21,351) 39-44 ms against 30-33 ms (medians of 15,
-# two sessions).  A planted witness that the link screen reaches at once
-# takes 1-3 ms in-process at 11-14 nodes against 6-11 ms in two workers.
-POOL_MIN_GUESSES = 20_000
+# A parallel search scans in-process, in enumeration order, for up to this
+# many units of work: one per rarest class A examined and one per completion
+# tested.  It stops before an A whose completions could take it past them,
+# and only then starts worker processes for the rest.
+# On a 2-core x86 VM a unit takes 2.0-2.5 us, so the slice lasts 31-37 ms
+# (star_hypergraph(13, 4) and (14, 4), medians of 15), five to seven times
+# the 4.6-6.7 ms that starting and joining two workers costs.  The search-
+# direct benchmark instances all stay in-process: the exhaustive 12-node star
+# spends 11,742 units, a planted 10-12-node witness 42-179.  The 13-node star
+# hands off at 14,913 units, and any longer search pays about half a slice
+# for it, the part two workers would have shared; the 16-node star, whose
+# single-node A's make some 5,000 completions each, hands off at 14,829.
+SLICE_UNITS = 15_000
 
 RULE_COMPONENT_SPLIT = "component-split"
 RULE_NON_NEIGHBOR = "non-neighbor"
@@ -336,39 +347,64 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     return NrcOutcome(None, RULE_EXHAUSTED)
 
 
+class _SliceSpent(Exception):
+    """A budgeted scan spent its budget.  The arguments are the position of
+    the first A that it left unscanned and the units it spent."""
+
+
 def _nrc4_scan(
-    rows: Sequence[int], live: list[int], stride: int = 1, offset: int = 0
+    rows: Sequence[int],
+    live: list[int],
+    start: int = 0,
+    stride: int = 1,
+    facts: Optional[tuple[list, list]] = None,
+    budget: Optional[int] = None,
 ) -> Optional[list[int]]:
     """Scan (A, B) guesses in enumeration order, for each A that passes the
     link screen (``_link_admits``: every node outside A lies in a triple that
     A's link leaves uncovered); with a stride, only every stride-th A of the
-    live nodes from offset on.  The triples and failed nodes found for one A
-    are kept for the next.
+    live nodes from position ``start`` on.  The triples and failed nodes
+    found for one A are kept for the next, in the two lists of ``facts``
+    when given.
 
     Per A, each node outside A is paired with its row masked to the edges
     that meet A; per B, the OR of B's rows marks the edges that meet A and
     B, and ``_complete`` tests whether the other nodes split under them.
     Class 3 of a witness is the component of the lowest node outside A and
     B.
+
+    With a budget, the scan counts one unit per A it examines and one per
+    completion, and raises ``_SliceSpent`` at the first A that could take it
+    past the budget: one whose completions would, if the screen passed it.
     """
     n = len(rows)
     guesses = chain.from_iterable(
         combinations(live, i) for i in range(1, n // 4 + 1)
     )
-    triples: list[tuple[int, int]] = []
-    dead: list[tuple[int, int]] = []
-    for a in islice(guesses, offset, None, stride):
+    triples, dead = ([], []) if facts is None else facts
+    spent = 0
+    for k, a in enumerate(islice(guesses, start, None, stride)):
+        i = len(a)
+        b_sizes = range(i, (n - i) // 3 + 1)
+        if budget is not None:
+            # a B of |A| nodes lies above min A, so n - min A - |A| choices
+            cost = 1 + sum(comb(n - a[0] - i if j == i else n - i, j)
+                           for j in b_sizes)
+            if spent + cost > budget:
+                raise _SliceSpent(start + k * stride, spent)
+            spent += 1
         amask = meets = 0
         for v in a:
             amask |= 1 << v
             meets |= rows[v]
         if not _link_admits(rows, amask, meets, triples, dead):
             continue
-        i = len(a)
+        if budget is not None:
+            spent += cost - 1
         rest = {1 << v: rows[v] & meets for v in range(n) if not amask >> v & 1}
         above = [b for b in rest if b > amask & -amask]
         rest_mask = sum(rest)
-        for j in range(i, (n - i) // 3 + 1):
+        for j in b_sizes:
             for bcombo in combinations(above if j == i else rest, j):
                 bmask = reach = 0
                 for b in bcombo:
@@ -386,11 +422,11 @@ def nrc4(
     """Exact 4-NRC by enumerating the two rarest color classes.
 
     Sequential mode returns the lexicographically first witness in the order
-    of the module docstring (|A| <= |B|, min A < min B on ties); parallel
-    mode returns the first witness a worker process reports, and then
-    terminates the other workers.  Both give the same existence verdict.  A
-    search of fewer than POOL_MIN_GUESSES guesses runs in-process even when
-    parallel.
+    of the module docstring (|A| <= |B|, min A < min B on ties).  Parallel
+    mode scans in that order in-process for up to SLICE_UNITS units of work
+    and returns the same witness if it finds one there; past the slice it
+    returns the first witness a worker process reports, and then terminates
+    the other workers.  Both modes give the same existence verdict.
     """
     n = h.node_count
     if n < 4:
@@ -405,38 +441,56 @@ def nrc4_rows(
     """``nrc4`` on the nodes whose incidence rows these are, 4 or more; a
     refusal names ``subject``."""
     n = len(rows)
-    guesses = check_budget(4, n, guess_cap, subject)
+    check_budget(4, n, guess_cap, subject)
     live = _live(rows, 4)
-    if parallel and guesses >= POOL_MIN_GUESSES:
-        classes = _nrc4_parallel(rows, live)
-    else:
-        classes = _nrc4_scan(rows, live)
+    classes = _nrc4_parallel(rows, live) if parallel else _nrc4_scan(rows, live)
     if classes is None:
         return NrcOutcome(None, RULE_EXHAUSTED)
     return NrcOutcome(_coloring_from_masks(n, classes), RULE_SEARCH_4)
 
 
 def _nrc4_parallel(rows: Sequence[int], live: list[int]) -> Optional[list[int]]:
-    """The sequential scan split by A over one process per core (at most 8).
+    """The sequential scan, handed to worker processes once it would spend
+    more than SLICE_UNITS in-process.
 
-    Worker w scans every A whose position is w modulo the worker count and
-    sends its result down a pipe of its own.  The first witness received
-    ends the search, and the workers still scanning are terminated.  No
-    worker shares a lock, so terminating one in mid-send blocks nothing; a
-    pool's shared result queue would stay locked, and its shutdown hang.
+    A witness found in the slice is the sequential one.  Past it, the A's
+    left are split over one process per CPU that this process may run on
+    (at most 8): with ``count`` workers, worker w scans the A's at positions
+    ``resume + w``, ``resume + w + count``, ..., where ``resume`` is the
+    first A the slice left, starting from the screen facts the slice found.
+    Each worker sends its result down a pipe of its own.  The first witness
+    received ends the search, and the workers still scanning are terminated.
+    No worker shares a lock, so terminating one in mid-send blocks nothing;
+    a pool's shared result queue would stay locked, and its shutdown hang.
     A worker that ends without sending leaves its share unscanned, so the
     search then raises SizeLimitError with the worker's exit code.
     """
-    count = min(os.cpu_count() or 1, 8)
+    # the CPUs this process may run on, as os.process_cpu_count counts them
+    # from Python 3.13: fewer than the machine has in a narrowed container
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    count = min(cpus, 8)
     if count <= 1:
         return _nrc4_scan(rows, live)
+    facts: tuple[list, list] = ([], [])
+    try:
+        return _nrc4_scan(rows, live, facts=facts, budget=SLICE_UNITS)
+    except _SliceSpent as stop:
+        resume, spent = stop.args
+        log.debug(
+            "4-NRC search: %d units in-process, the A's from position %d on "
+            "in %d workers",
+            spent, resume, count,
+        )
     workers = {}  # each worker by the receiving end of its pipe
     try:
         for offset in range(count):
             receive, send = multiprocessing.Pipe(duplex=False)
             worker = multiprocessing.Process(
                 target=_send_scan,
-                args=(send, rows, live, count, offset),
+                args=(send, rows, live, resume + offset, count, facts),
             )
             worker.start()
             workers[receive] = worker

@@ -36,7 +36,6 @@ from decisive.errors import InvalidInstanceError, SizeLimitError
 from decisive.nrc import (
     DEFAULT_SEARCH_CAP,
     GUESS_COUNT_LIMIT,
-    POOL_MIN_GUESSES,
     RULE_COMPONENT_SPLIT,
     RULE_EXHAUSTED,
     RULE_NON_NEIGHBOR,
@@ -74,8 +73,45 @@ def planted(rng: random.Random, sizes: tuple[int, ...]) -> Hypergraph:
 
 @pytest.fixture
 def two_cores(monkeypatch):
-    """A parallel search sees two cores, so it runs two pool workers."""
-    monkeypatch.setattr(nrc_module.os, "cpu_count", lambda: 2)
+    """A parallel search may run on two CPUs, so it runs two workers."""
+    monkeypatch.setattr(
+        nrc_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+
+
+@pytest.fixture
+def no_slice(monkeypatch):
+    """A parallel search hands every A to the workers."""
+    monkeypatch.setattr(nrc_module, "SLICE_UNITS", 0)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Starting a worker process raises AssertionError."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(nrc_module.multiprocessing, "Process", refuse)
+
+
+class InlineProcess:
+    """A stand-in for multiprocessing.Process that runs its target at
+    ``start``, in this process, and so in a fixed order."""
+
+    exitcode = 0
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
 
 
 class TestNrc2:
@@ -175,7 +211,7 @@ class TestNrc4:
             for out in (nrc4(h), nrc4(h, parallel=True)):
                 assert out.found and verify_no_rainbow(h, out.witness)
 
-    def test_parallel_stops_other_workers(self, two_cores):
+    def test_parallel_stops_other_workers(self, two_cores, no_slice):
         # only a guess with A = the singleton class completes, and only one
         # worker makes it; the other's full scan takes about 25 s on 2 cores
         h = planted(random.Random(0), (1, 5, 5, 5))
@@ -193,7 +229,8 @@ class TestNrc4:
             "import importlib\n"
             "from decisive.core import Hypergraph\n"
             "nrc = importlib.import_module('decisive.nrc')\n"
-            "nrc.os.cpu_count = lambda: 4\n"
+            "nrc.os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+            "nrc.SLICE_UNITS = 0\n"
             "for _ in range(250):\n"
             "    assert nrc.nrc4(Hypergraph(11, ()), parallel=True).found\n"
         )
@@ -241,20 +278,21 @@ class TestNrc4:
             if par.found:
                 assert verify_no_rainbow(h, par.witness)
 
-    # the parallel benchmark instances that reach POOL_MIN_GUESSES
+    # the n = 12 parallel benchmark instances, all scanned by the workers
     @pytest.mark.parametrize(
         "kind,arg",
         [("star", 12), ("planted", (3, 3, 3, 3)), ("planted", (2, 3, 3, 4))],
         ids=["star-12", "planted-3333", "planted-2334"],
     )
-    def test_pool_agrees_and_leaves_no_workers(self, two_cores, kind, arg):
+    def test_pool_agrees_and_leaves_no_workers(
+        self, two_cores, no_slice, kind, arg
+    ):
         from decisive.bounds import star_hypergraph
 
         if kind == "star":
             h = star_hypergraph(arg, 4)
         else:
             h = planted(random.Random(sum(arg)), arg)
-        assert nrc4_guesses(h.node_count) >= POOL_MIN_GUESSES
         seq = nrc4(h)
         par = nrc4(h, parallel=True)
         assert par.found == seq.found == (kind == "planted")
@@ -266,11 +304,12 @@ class TestNrc4:
         self, monkeypatch, two_cores, tmp_path, capsys
     ):
         # as if each worker were killed before it sent its result: its share
-        # of the guesses is unscanned, so "exhausted" would be a wrong answer
+        # of the guesses is unscanned, so "exhausted" would be a wrong answer;
+        # the 13-node star outlasts the slice, so it reaches the workers
         from decisive.bounds import star_hypergraph
 
         monkeypatch.setattr(nrc_module, "_send_scan", lambda *args: os._exit(1))
-        h = star_hypergraph(12, 4)
+        h = star_hypergraph(13, 4)
         with pytest.raises(SizeLimitError) as err:
             nrc4(h, parallel=True)
         assert str(err.value) == (
@@ -279,12 +318,88 @@ class TestNrc4:
         )
         assert multiprocessing.active_children() == []
         f = tmp_path / "star.txt"
-        f.write_text("nodes 12\n" + "".join(
+        f.write_text("nodes 13\n" + "".join(
             " ".join(map(str, e)) + "\n" for e in h.edges
         ))
         assert run(["nrc", "--input", str(f), "--format", "edge-list",
                     "--parallel"]) == EXIT_CAP_EXCEEDED
         assert "exit code 1" in capsys.readouterr().err
+
+
+# the sizes of the benchmark's planted patterns, n = 10-12
+PLANTED_SIZES = [
+    (2, 2, 3, 3), (2, 2, 2, 4), (2, 3, 3, 3), (2, 2, 3, 4), (2, 2, 2, 5),
+    (3, 3, 3, 3), (2, 3, 3, 4),
+]
+
+
+class TestSlice:
+    """A parallel search scans in-process for up to SLICE_UNITS units, then
+    hands the A's left to the workers."""
+
+    def test_witness_in_the_slice_is_the_sequential_one(
+        self, two_cores, no_pool
+    ):
+        from decisive.bounds import star_hypergraph
+
+        rng = random.Random(23)
+        cases = [star_hypergraph(n, 4) for n in (10, 11, 12)]
+        cases += [planted(rng, sizes) for sizes in PLANTED_SIZES for _ in range(3)]
+        for h in cases:
+            assert nrc4(h, parallel=True) == nrc4(h)
+
+    # 0 hands over every A, 1 all but the first, 100 ends within the first
+    # A's of every instance here
+    @pytest.mark.parametrize("units", [0, 1, 100])
+    def test_any_slice_gives_the_sequential_verdict(
+        self, monkeypatch, caplog, two_cores, units
+    ):
+        from decisive.bounds import star_hypergraph
+
+        monkeypatch.setattr(nrc_module, "SLICE_UNITS", units)
+        caplog.set_level(logging.DEBUG, logger="decisive.nrc")
+        rng = random.Random(units)
+        cases = [star_hypergraph(n, 4) for n in (10, 11, 12, 13)]
+        cases += [planted(rng, sizes) for sizes in PLANTED_SIZES]
+        for h in cases:
+            caplog.clear()
+            out = nrc4(h, parallel=True)
+            handed_off = "in 2 workers" in caplog.records[-1].getMessage()
+            assert out.found == nrc4(h).found
+            if out.found:
+                assert verify_no_rainbow(h, out.witness)
+            else:  # every star outlasts the slice
+                assert handed_off
+            assert multiprocessing.active_children() == []
+
+    # every A of the 12-node star, each passed to the link screen once
+    @pytest.mark.parametrize("units", [0, 1, 3000, 11000])
+    def test_split_visits_every_live_a_once(self, monkeypatch, units):
+        from decisive.bounds import star_hypergraph
+
+        monkeypatch.setattr(nrc_module, "SLICE_UNITS", units)
+        monkeypatch.setattr(
+            nrc_module.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+            raising=False,
+        )
+        monkeypatch.setattr(nrc_module.multiprocessing, "Process", InlineProcess)
+        visited = []
+        screen = nrc_module._link_admits
+
+        def recorded(rows, amask, *args):
+            visited.append(amask)
+            return screen(rows, amask, *args)
+
+        monkeypatch.setattr(nrc_module, "_link_admits", recorded)
+        h = star_hypergraph(12, 4)
+        assert not nrc4(h, parallel=True).found
+        every_a = [
+            sum(1 << v for v in a)
+            for i in (1, 2, 3)
+            for a in combinations(range(12), i)
+        ]
+        assert sorted(visited) == sorted(every_a)
+        assert len(set(visited)) == len(visited)
 
 
 def classes(coloring: Coloring, color: int) -> tuple[int, ...]:
@@ -626,19 +741,36 @@ class TestGuessBudget:
             for r in caplog.records
         )
 
-    def test_short_parallel_search_starts_no_pool(self, monkeypatch, two_cores):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+    def test_short_parallel_search_starts_no_pool(self, two_cores, no_pool):
+        from decisive.bounds import star_hypergraph
 
-        monkeypatch.setattr(nrc_module.multiprocessing, "Process", no_pool)
-        h = planted(random.Random(1), (2, 3, 3, 3))
-        assert nrc4_guesses(h.node_count) < POOL_MIN_GUESSES
-        out = nrc4(h, parallel=True)
-        assert out == nrc4(h) and verify_no_rainbow(h, out.witness)
-        big = planted(random.Random(1), (3, 3, 3, 3))
-        assert nrc4_guesses(big.node_count) >= POOL_MIN_GUESSES
+        # a planted witness turns up within the slice, on 11 nodes and on 12
+        for sizes in ((2, 3, 3, 3), (3, 3, 3, 3)):
+            h = planted(random.Random(1), sizes)
+            out = nrc4(h, parallel=True)
+            assert out == nrc4(h) and verify_no_rainbow(h, out.witness)
+        # the 12-node star is exhausted within it, the 13-node one is not
+        out = nrc4(star_hypergraph(12, 4), parallel=True)
+        assert not out.found and out.rule == RULE_EXHAUSTED
         with pytest.raises(AssertionError, match="a pool was started"):
-            nrc4(big, parallel=True)
+            nrc4(star_hypergraph(13, 4), parallel=True)
+
+    def test_hand_off_logs_its_split(self, caplog, monkeypatch, two_cores):
+        from decisive.bounds import star_hypergraph
+
+        monkeypatch.setattr(nrc_module, "SLICE_UNITS", 1000)
+        caplog.set_level(logging.DEBUG, logger="decisive.nrc")
+        assert not nrc4(star_hypergraph(10, 4), parallel=True).found
+        assert [r.getMessage() for r in caplog.records] == [
+            "4-NRC search: 10 nodes, at most 1875 guesses, budget 10000000",
+            "4-NRC search: 10 of 10 nodes pass the link screen",
+            "4-NRC search: 889 units in-process, the A's from position 7 on "
+            "in 2 workers",
+        ]
+        assert all(
+            r.name == "decisive.nrc" and r.levelno == logging.DEBUG
+            for r in caplog.records
+        )
 
 
 class TestDispatcher:

@@ -540,14 +540,32 @@ class TestLinkScreen:
     def test_parallel_search_gives_the_sequential_verdict(
         self, monkeypatch, screened, family
     ):
-        monkeypatch.setattr(nrc_module.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(nrc_module, "POOL_MIN_GUESSES", 0)
+        # two workers scan every A
+        monkeypatch.setattr(
+            nrc_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        monkeypatch.setattr(nrc_module, "SLICE_UNITS", 0)
         for p in screened[family]:
             h = build_hypergraph(p)
             out = nrc4(h, parallel=True)
             assert out.found == nrc4(h).found
             if out.found:
                 assert verify_no_rainbow(h, out.witness)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_parallel_search_in_the_slice_gives_the_sequential_witness(
+        self, monkeypatch, screened, family
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(
+            nrc_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        monkeypatch.setattr(nrc_module.multiprocessing, "Process", no_pool)
+        for p in screened[family]:
+            h = build_hypergraph(p)
+            assert nrc4(h, parallel=True) == nrc4(h)
 
 
 class TestDecisiveSubset:
