@@ -9,7 +9,6 @@ decisive pattern must therefore contain at least C(n-1,3) covered quadruples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -39,17 +38,20 @@ class BoundReport:
 
 
 def a_recurrence(n: int, r: int) -> int:
-    """Minimum blocking edge count, by the recurrence; exact integers."""
+    """Minimum blocking edge count, by the recurrence; exact integers.
+
+    Iterated row by row over m = 1..n: ``row[s]`` holds A(m, s) for
+    s = 1..min(m, r), with A(m, 1) = A(m, m) = 1.
+    """
     if r < 1 or n < r:
         raise InvalidInstanceError(f"need n >= r >= 1, got n={n}, r={r}")
-
-    @lru_cache(maxsize=None)
-    def rec(m: int, s: int) -> int:
-        if s == 1 or m == s:
-            return 1
-        return rec(m - 1, s - 1) + rec(m - 1, s)
-
-    return rec(n, r)
+    row = [0, 1]  # A(1, 1); index 0 unused
+    for m in range(2, n + 1):
+        top = min(m, r)
+        row = [0, 1] + [
+            1 if s == m else row[s - 1] + row[s] for s in range(2, top + 1)
+        ]
+    return row[r]
 
 
 def a_closed(n: int, r: int) -> int:
@@ -156,25 +158,21 @@ def bound_report(pattern: CoveragePattern) -> BoundReport:
     )
 
 
-def _tight_edges(nodes: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
-    if r == 1:
-        return [(nodes[0],)]
-    if len(nodes) == r:
-        return [tuple(nodes)]
-    head, rest = nodes[0], nodes[1:]
-    through = [tuple(sorted((head,) + e)) for e in _tight_edges(rest, r - 1)]
-    return through + _tight_edges(rest, r)
-
-
 def star_hypergraph(n: int, r: int) -> Hypergraph:
     """An n-node r-uniform hypergraph with exactly C(n-1,r-1) edges and no
     no-rainbow r-coloring.
 
-    Built by the recurrence: edges through a distinguished node from the
-    (n-1, r-1) instance, plus the (n-1, r) instance on the remaining nodes.
+    The recurrence takes the edges through node 0 of the (n-1, r-1) instance
+    on nodes 1..n-1, then the (n-1, r) instance on the same nodes, down to
+    r = 1 (the first node) or n = r (every node).  Unrolled, each step puts
+    its first node into the edge or passes it by, and the last step, at
+    r = 1, takes the node just after the last one put in.  So the edges are
+    c + (c[-1] + 1,) for each (r-1)-subset c of nodes 0..n-2, and putting a
+    node in before passing it by lists the c's in ``combinations`` order.
+    Built that way, the construction needs no recursion depth.
     """
     if r < 2 or n <= r:
         raise InvalidInstanceError(f"need n > r >= 2, got n={n}, r={r}")
-    edges = _tight_edges(tuple(range(n)), r)
+    edges = tuple(c + (c[-1] + 1,) for c in combinations(range(n - 1), r - 1))
     assert len(edges) == a_closed(n, r)
-    return Hypergraph(n, tuple(edges))
+    return Hypergraph(n, edges)

@@ -352,9 +352,10 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 
 def _cmd_reduce(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
-    ri = reduction.reduce_pattern(pattern)
+    ri = reduction.dedup(pattern.rows, pattern.k)  # duplicate rows only
+    kernel = reduction.reduce_pattern(pattern)
     kept = 0  # loci left after dropping the dominated ones
-    for row in ri.searched.rows:
+    for row in kernel.rows:
         kept |= row
     return EXIT_NO_WITNESS, dict(
         n=pattern.n,
@@ -374,7 +375,7 @@ def _cmd_reduce(args) -> tuple[int, dict]:
             name for j, (name, _members) in enumerate(pattern.loci)
             if not kept >> j & 1
         ],
-        search_rows=ri.searched.n_reduced,
+        search_rows=kernel.n_reduced,
     )
 
 

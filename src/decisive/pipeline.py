@@ -3,19 +3,20 @@
 A pattern is decisive iff its coverage hypergraph has no no-rainbow
 4-coloring.  ``decide`` runs one stack: cheap certificates first (full locus;
 uncovered triple and rooted case, both read off the pattern's own rows), then,
-only if none fires, it builds the kernel and searches it for a no-rainbow
-4-coloring with its dominated loci dropped
-(``reduction.drop_dominated_loci``), unless an exhaustive search would
-exceed the guess budget.  The search reads the kernel's rows, counts
-its guesses once and looks for no uncovered triple again: each row is a
-taxon's.  The other engines (``nrc.nrc4`` on the raw hypergraph,
-``reduction.fpt_nrc4``, ``oracle.brute_force_nrc``) stay public and are
-reached from ``decisive nrc`` and ``decisive oracle``.  No quadruple count
-runs here: its bound only confirms a witness the search finds anyway, and
-``decisive bound`` reports it.  Fewer colors are never searched: once every
-triple is covered, a 2- or 3-coloring has one taxon of each color inside a
-common locus, so it is rainbow.  Every non-decisive verdict carries a
-four-block partition witness that is re-checked before being returned.
+only if none fires, it builds the kernel (``reduction.reduce_pattern``:
+duplicate rows struck out, dominated loci dropped) and searches it for a
+no-rainbow 4-coloring, unless an exhaustive search would exceed the guess
+budget.  The search reads the kernel's rows, counts its guesses once and
+looks for no uncovered triple again: each row is a taxon's.  The other
+engines stay public: ``nrc.nrc4`` on the raw hypergraph is reached from
+``decisive nrc``, ``oracle.brute_force_nrc`` from ``decisive oracle``, and
+``reduction.fpt_nrc4`` (the screen and kernel search without the other
+certificates) from the package's API only.  No quadruple count runs here: its
+bound only confirms a witness the search finds anyway, and ``decisive bound``
+reports it.  Fewer colors are never searched: once every triple is covered, a
+2- or 3-coloring has one taxon of each color inside a common locus, so it is
+rainbow.  Every non-decisive verdict carries a four-block partition witness
+that is re-checked before being returned.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def decide(
     """Decide decisiveness.
 
     Runs the screens in cost order on the pattern's rows; only when none
-    fires does it build the kernel and search what is left after dropping
-    dominated loci: the verdict reads "fpt" when that kernel has
-    fewer rows than the pattern has taxa, "direct-search" when it is the input
-    itself.  ``search_cap`` is the guess budget of the search (see
+    fires does it build the kernel (``reduction.reduce_pattern``) and search
+    it: the verdict reads "fpt" when the kernel has fewer rows than the
+    pattern has taxa, "direct-search" when it is the input itself.
+    ``search_cap`` is the guess budget of the search (see
     ``nrc.nrc4_guesses``); a search over it raises SizeLimitError before it
     starts.  Each verdict is logged at debug level with its stage, the
     pattern's size, the kernel's row count ("not built" when a screen
@@ -153,7 +154,7 @@ def _decide(
 
     ri = reduction.reduce_pattern(pattern)
     outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
-    engine = DECIDED_FPT if ri.searched.spares else DECIDED_DIRECT
+    engine = DECIDED_FPT if ri.spares else DECIDED_DIRECT
     if outcome.found:
         verdict = _non_decisive(
             pattern, outcome.witness, engine, stats(rule=outcome.rule)

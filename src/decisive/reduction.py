@@ -8,22 +8,21 @@ as ``CoveragePattern.rows`` holds it.  Two reduction rules shrink the rows:
   rainbow, neither is the smaller), so ``drop_dominated_loci`` deletes it
   and strikes out the rows that then agree.
 
-Once every triple of taxa lies in some locus, the reduced hypergraph has a
-no-rainbow 4-coloring iff the original has one, and copies take their
-representative's color.  Dropping a dominated locus keeps every triple
-covered, by the locus that contains it.  The screens (``zero_and_screen``,
-``full_row``) read the pattern's own rows and build no kernel; the kernel is
-built only for the r = 4 search (``kernel_nrc4``), which runs on the rows
-both rules leave, with one guess count and no scan for an uncovered triple:
-each is a taxon's.  No 2- or 3-coloring of the kernel needs searching: after
-the triple screen one representative of each color lies in a common locus,
-so every such coloring is rainbow.
+The kernel is what both rules leave (``reduce_pattern``), and it is what the
+r = 4 search (``kernel_nrc4``) reads, with one guess count and no scan for an
+uncovered triple: each row is a taxon's.  Once every triple of taxa lies in
+some locus, the kernel's hypergraph has a no-rainbow 4-coloring iff the
+original has one, and copies take their representative's color.  Dropping a
+dominated locus keeps every triple covered, by the locus that contains it.
+The screens (``zero_and_screen``, ``full_row``) read the pattern's own rows
+and build no kernel; it is built only for the search.  No 2- or 3-coloring of
+the kernel needs searching: after the triple screen one representative of
+each color lies in a common locus, so every such coloring is rainbow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 from typing import Optional, Sequence
 
@@ -42,7 +41,8 @@ from .nrc import (
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """The kernel: the distinct rows of k loci and the copy class of each."""
+    """The distinct rows of k loci and the copy class of each; the kernel
+    when ``reduce_pattern`` builds it."""
 
     k: int
     source_rows: tuple[int, ...]
@@ -50,12 +50,6 @@ class ReducedInstance:
     # per row, the source rows equal to it, ascending; the first represents
     # the class
     classes: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def searched(self) -> "ReducedInstance":
-        """The instance ``kernel_nrc4`` searches: this one after
-        ``drop_dominated_loci``."""
-        return drop_dominated_loci(self)
 
     @property
     def n_reduced(self) -> int:
@@ -77,11 +71,13 @@ def dedup(rows: Sequence[int], k: int) -> ReducedInstance:
 
 
 def reduce_pattern(pattern: CoveragePattern) -> ReducedInstance:
-    return dedup(pattern.rows, pattern.k)
+    """The kernel: the pattern's distinct rows after dropping dominated loci,
+    each class of taxa that agree on the loci kept under one row."""
+    return drop_dominated_loci(dedup(pattern.rows, pattern.k))
 
 
 def drop_dominated_loci(ri: ReducedInstance) -> ReducedInstance:
-    """Drop every locus whose column over the kernel rows lies inside a
+    """Drop every locus whose column over the rows of ``ri`` lies inside a
     strictly larger one (of equal columns the first stays), then strike out
     the source rows that agree on the loci kept.
 
@@ -135,7 +131,7 @@ def zero_and_screen(pattern: CoveragePattern) -> Optional[Coloring]:
 
 
 def row_count_screen(ri: ReducedInstance) -> bool:
-    """True iff the kernel has more than 2^(k-1) rows.
+    """True iff ``ri`` has more than 2^(k-1) distinct rows.
 
     Then some two rows are complements, so the zero-AND screen must fire.
     """
@@ -159,8 +155,8 @@ def kernel_nrc4(
     guess_cap: int = DEFAULT_SEARCH_CAP,
     parallel: bool = False,
 ) -> NrcOutcome:
-    """4-NRC of the source by an r = 4 search on its kernel after dropping
-    dominated loci (``ri.searched``), the witness lifted to the source taxa.
+    """4-NRC of the source by an r = 4 search on the kernel ``ri`` (as
+    ``reduce_pattern`` builds it), the witness lifted to the source taxa.
     Requires every triple of taxa to lie in a locus, as ``zero_and_screen``
     finds; then it is exact: two copies colored apart would share the locus
     covering one of them and a taxon of each other color, and make it
@@ -168,14 +164,12 @@ def kernel_nrc4(
     and no non-neighbor scan: each row is a taxon's, so no triple of them is
     uncovered.  The search is refused before it starts when an exhaustive one
     would make more than ``guess_cap`` guesses."""
-    kernel = ri.searched
-    if kernel.n_reduced < 4:
+    if ri.n_reduced < 4:
         return NrcOutcome(None, RULE_EXHAUSTED)
-    taxa = len(kernel.source_rows)
-    subject = f"the kernel of {taxa} taxa has {kernel.n_reduced} rows"
-    outcome = nrc4_rows(kernel.rows, guess_cap, parallel, subject)
+    subject = f"the kernel of {len(ri.source_rows)} taxa has {ri.n_reduced} rows"
+    outcome = nrc4_rows(ri.rows, guess_cap, parallel, subject)
     if outcome.found:
-        return NrcOutcome(lift_coloring(kernel, outcome.witness), outcome.rule)
+        return NrcOutcome(lift_coloring(ri, outcome.witness), outcome.rule)
     return outcome
 
 
@@ -185,8 +179,8 @@ def fpt_nrc4(
     """Decide 4-NRC of H(S) through the kernel.
 
     Runs the zero-AND screen on the pattern's rows, which finds an uncovered
-    triple if one exists, then builds the kernel and runs the r = 4 search on
-    it.
+    triple if one exists, then builds the kernel (``reduce_pattern``: both
+    reduction rules) and runs the r = 4 search on it.
     """
     if pattern.n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 taxa")

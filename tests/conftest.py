@@ -90,6 +90,36 @@ def planted_pattern(
     return CoveragePattern.from_sets([f"t{i}" for i in range(n)], loci)
 
 
+def named_loci(n: int, loci: list) -> CoveragePattern:
+    """Taxa t0..t(n-1) and locus Lj with the members ``loci[j]``."""
+    return CoveragePattern.from_sets(
+        [f"t{i}" for i in range(n)],
+        [(f"L{j}", members) for j, members in enumerate(loci)],
+    )
+
+
+def planted_4_sets(colors: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every 4-set of nodes that misses one of the four colors, so the
+    coloring is a no-rainbow witness of those 4-sets."""
+    return [
+        q for q in combinations(range(len(colors)), 4)
+        if len({colors[v] for v in q}) < 4
+    ]
+
+
+def with_copies(
+    p: CoveragePattern, rng: random.Random, copies: int
+) -> CoveragePattern:
+    """p plus ``copies`` new taxa, each in exactly the loci of an old one."""
+    loci = [list(members) for _name, members in p.loci]
+    for c in range(copies):
+        original = rng.randrange(p.n)
+        for members in loci:
+            if original in members:
+                members.append(p.n + c)
+    return named_loci(p.n + copies, loci)
+
+
 def kernel_hypergraph(ri) -> Hypergraph:
     """The hypergraph of a ``ReducedInstance``'s rows: its rows as nodes,
     its nonempty columns as edges in locus order."""

@@ -48,6 +48,9 @@ class TestEdgeCountBound:
         assert a_closed(30, 4) == 3654
         assert a_closed(5, 4) == 4
 
+    def test_recurrence_has_no_depth_limit(self):
+        assert a_recurrence(2000, 4) == a_closed(2000, 4)
+
     def test_invalid_arguments(self):
         with pytest.raises(InvalidInstanceError):
             a_recurrence(3, 4)
@@ -138,7 +141,29 @@ class TestRooted:
         assert rep.rooted and rep.common_taxon == 3
 
 
+def recursive_star_edges(nodes: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
+    """The recurrence itself: the edges through the first node from the
+    (n-1, r-1) instance, then the (n-1, r) instance on the other nodes."""
+    if r == 1:
+        return [(nodes[0],)]
+    if len(nodes) == r:
+        return [nodes]
+    head, rest = nodes[0], nodes[1:]
+    through = [(head,) + e for e in recursive_star_edges(rest, r - 1)]
+    return through + recursive_star_edges(rest, r)
+
+
 class TestStarHypergraph:
+    def test_equals_the_recurrence(self):
+        for n in range(3, 13):
+            for r in range(2, n):
+                expected = tuple(recursive_star_edges(tuple(range(n)), r))
+                assert star_hypergraph(n, r).edges == expected
+
+    def test_builds_past_the_recursion_limit(self):
+        h = star_hypergraph(1200, 2)
+        assert h.edges == tuple((v, v + 1) for v in range(1199))
+
     def test_edge_counts(self):
         for n in range(5, 10):
             assert len(star_hypergraph(n, 4).edges) == a_closed(n, 4)

@@ -673,7 +673,7 @@ class TestGuessBudget:
             [f"t{i}" for i in range(45)],
             [(f"L{j}", [i for i in range(45) if i % 15 != j]) for j in range(15)],
         )
-        kernel = reduce_pattern(p).searched
+        kernel = reduce_pattern(p)
         assert kernel.n_reduced == 15
         assert not nrc4(kernel_hypergraph(kernel)).found
         assert completions[0] == 0

@@ -15,6 +15,7 @@ from conftest import (
     planted_pattern,
     random_pattern,
     reference_link_covers,
+    with_copies,
 )
 from decisive import bounds, reduction
 from decisive.bounds import lower_bound_screen
@@ -42,6 +43,7 @@ from decisive.pipeline import (
     partition_from_coloring,
 )
 from decisive.reduction import (
+    dedup,
     fpt_nrc4,
     kernel_nrc4,
     lift_coloring,
@@ -321,19 +323,6 @@ def dense_pattern(rng: random.Random, n_range: tuple[int, int]) -> CoveragePatte
     )
 
 
-def with_copies(
-    p: CoveragePattern, rng: random.Random, copies: int
-) -> CoveragePattern:
-    """p plus ``copies`` new taxa, each in exactly the loci of an old one."""
-    loci = [list(members) for _name, members in p.loci]
-    for c in range(copies):
-        original = rng.randrange(p.n)
-        for members in loci:
-            if original in members:
-                members.append(p.n + c)
-    return make_pattern(loci, p.n + copies)
-
-
 def dense_with_copies(rng: random.Random) -> CoveragePattern:
     p = dense_pattern(rng, (4, 7))
     return with_copies(p, rng, rng.randint(1, 9 - p.n))
@@ -381,28 +370,46 @@ def nested_pattern(rng: random.Random, copies: bool) -> CoveragePattern:
 class TestDominatedLoci:
     """decide searches the kernel left after dropping dominated loci."""
 
-    def test_grouped_miss_decided_within_a_second(self):
-        # taxon i is in group i mod 10; locus j drops group j mod 10, and
-        # loci 10..20 also drop taxon j + 11: 21 kernel rows, over the
-        # budget, until loci 10..20, each inside locus j - 10, are dropped
+    @staticmethod
+    def grouped_miss_100() -> CoveragePattern:
+        """Taxon i is in group i mod 10; locus j drops group j mod 10, and
+        loci 10..20 also drop taxon j + 11: 21 distinct rows, over the
+        budget, and a 10-row kernel once loci 10..20, each inside locus
+        j - 10, are dropped."""
         groups = [{i for i in range(100) if i % 10 == g} for g in range(10)]
-        p = missing_groups(
+        return missing_groups(
             100, groups + [groups[j % 10] | {j + 11} for j in range(10, 21)]
         )
-        ri = reduce_pattern(p)
-        assert (ri.n_reduced, ri.searched.n_reduced) == (21, 10)
+
+    def test_grouped_miss_decided_within_a_second(self):
+        p = self.grouped_miss_100()
+        assert dedup(p.rows, p.k).n_reduced == 21
+        assert reduce_pattern(p).n_reduced == 10
         start = time.perf_counter()
         v = decide(p)
         assert time.perf_counter() - start < 1.0
         assert v.decisive and v.decided_by == DECIDED_FPT
+
+    def test_decide_logs_the_searched_kernel(self, caplog):
+        # decide's line names the row count that the search's estimate
+        # line names as its nodes
+        caplog.set_level(logging.DEBUG, logger="decisive")
+        decide(self.grouped_miss_100())
+        lines = [(r.name, r.getMessage()) for r in caplog.records]
+        (estimate,) = [m for name, m in lines if "guesses, budget" in m]
+        (decided,) = [m for name, m in lines if name == "decisive.pipeline"]
+        assert estimate.startswith("4-NRC search: 10 nodes, ")
+        assert re.fullmatch(
+            r"decide: fpt, n=100, k=21, kernel rows 10, \d+\.\d{6} s", decided
+        )
 
     def test_rows_merged_by_the_drop_count_as_spares(self):
         # taxon i is in group i mod 10: taxa 0 and 10 differ only in the
         # last locus, which lies inside the one that drops group 1
         groups = [{i for i in range(11) if i % 10 == g} for g in range(10)]
         p = missing_groups(11, groups + [groups[1] | {10}])
-        ri = reduce_pattern(p)
-        assert ri.spares == 0 and ri.searched.spares == 1
+        assert dedup(p.rows, p.k).spares == 0
+        assert reduce_pattern(p).spares == 1
         v = decide(p)
         assert v.decisive and v.decided_by == DECIDED_FPT
 
@@ -413,17 +420,17 @@ class TestDominatedLoci:
         for _ in range(150):
             p = nested_pattern(rng, copies)
             v = assert_engines_agree(p)
-            ri = reduce_pattern(p)
             shrunk += (
                 v.decided_by in (DECIDED_FPT, DECIDED_DIRECT)
-                and ri.searched.n_reduced < ri.n_reduced
+                and reduce_pattern(p).n_reduced < dedup(p.rows, p.k).n_reduced
             )
         assert shrunk >= 10  # the search ran on a smaller kernel
 
 
 class TestKernelSearch:
     """On patterns with every triple covered, the kernel search on the rows
-    of ``ri.searched`` gives ``nrc4`` on that kernel's hypergraph, lifted."""
+    of ``reduce_pattern(p)`` gives ``nrc4`` on that kernel's hypergraph,
+    lifted."""
 
     FAMILIES = {
         "dense": lambda rng: dense_pattern(rng, (4, 9)),
@@ -440,19 +447,18 @@ class TestKernelSearch:
             rng = random.Random(f"kernel-search-{family}")
             for _ in range(150):
                 p = make(rng)
-                ri = reduce_pattern(p)
-                kernel = ri.searched
+                kernel = reduce_pattern(p)
                 if zero_and_screen(p) is not None or kernel.n_reduced < 4:
                     continue
                 h = kernel_hypergraph(kernel)
                 out = nrc4(h)
                 if out.found:
                     out = NrcOutcome(lift_coloring(kernel, out.witness), out.rule)
-                assert kernel_nrc4(ri) == out
+                assert kernel_nrc4(kernel) == out
                 seen["searched"] += 1
                 seen["found"] += out.found
                 seen["copies"] += kernel.spares > 0
-                seen["dropped"] += kernel is not ri
+                seen["dropped"] += kernel.source_rows != p.rows
                 seen["small_edge"] += any(len(e) < 4 for e in h.edges)
         assert seen["searched"] >= 100
         assert min(seen.values()) >= 30
@@ -497,7 +503,7 @@ def link_screen_fires(h: Hypergraph) -> bool:
 def screened_search(p: CoveragePattern) -> bool:
     """decide searches the kernel of p, and nrc4 skips a guess both there
     and on the taxa."""
-    kernel = reduce_pattern(p).searched
+    kernel = reduce_pattern(p)
     return (
         decide(p).decided_by in (DECIDED_FPT, DECIDED_DIRECT)
         and link_screen_fires(kernel_hypergraph(kernel))

@@ -1,12 +1,16 @@
 """Kernelization: dedup, screens, lifting, and the fixed-parameter driver."""
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import duplicated_pattern, kernel_hypergraph, random_pattern
+from conftest import (
+    duplicated_pattern,
+    kernel_hypergraph,
+    named_loci,
+    planted_4_sets,
+)
 from decisive.bounds import star_hypergraph
 from decisive.core import (
     Coloring,
@@ -31,20 +35,21 @@ from decisive.reduction import (
 
 
 class TestIncidenceMatrix:
-    """The kernel's source rows are the pattern's incidence rows."""
+    """The duplicate-row view's source rows are the pattern's incidence
+    rows."""
 
     def test_small_example(self):
         p = CoveragePattern.from_sets(list("abc"), [("L1", [0, 1]), ("L2", [1, 2])])
-        ri = reduce_pattern(p)
+        ri = dedup(p.rows, p.k)
         assert (ri.k, ri.source_rows) == (2, (0b01, 0b11, 0b10))
 
     def test_uncovered_taxon_row_is_zero(self):
         p = CoveragePattern.from_sets(list("abc"), [("L1", [0, 1])])
-        assert reduce_pattern(p).source_rows[2] == 0
+        assert dedup(p.rows, p.k).source_rows[2] == 0
 
     def test_full_locus_column(self):
         p = CoveragePattern.from_sets(list("abcd"), [("L", [0, 1, 2, 3])])
-        ri = reduce_pattern(p)
+        ri = dedup(p.rows, p.k)
         assert ri.source_rows == (1, 1, 1, 1) and ri.rows == (1,)
 
 
@@ -84,16 +89,9 @@ class TestDedup:
         p = CoveragePattern.from_sets(
             list("abcd"), [("L1", [0, 1, 2]), ("L2", [2, 3])]
         )
-        ri = reduce_pattern(p)
+        ri = dedup(p.rows, p.k)
         # rows: a=01, b=01, c=11, d=10 -> reps a, c, d
         assert kernel_hypergraph(ri).edges == ((0, 1), (1, 2))
-
-
-def named_loci(n: int, loci: list) -> CoveragePattern:
-    return CoveragePattern.from_sets(
-        [f"t{i}" for i in range(n)],
-        [(f"L{j}", members) for j, members in enumerate(loci)],
-    )
 
 
 def kept_loci(ri) -> list[int]:
@@ -108,7 +106,7 @@ class TestDropDominatedLoci:
     def test_equal_columns_keep_the_first(self):
         # L1 and L2 have one column over the kernel rows; L0 is not inside them
         p = named_loci(4, [[1, 2, 3], [0, 1, 2], [0, 1, 2]])
-        kernel = drop_dominated_loci(reduce_pattern(p))
+        kernel = drop_dominated_loci(dedup(p.rows, p.k))
         assert kept_loci(kernel) == [0, 1]
         # kernel rows t0, t1 (= t2), t3
         assert kernel_hypergraph(kernel).edges == ((1, 2), (0, 1))
@@ -116,18 +114,28 @@ class TestDropDominatedLoci:
     def test_nested_chain_keeps_the_largest(self):
         # L0 < L1 < L2, and L3 beside them; t2 and t3 differ only in L1
         p = named_loci(5, [[0, 1], [0, 1, 2], [0, 1, 2, 3], [2, 3, 4]])
-        ri = reduce_pattern(p)
+        ri = dedup(p.rows, p.k)
         assert ri.n_reduced == 4
         kernel = drop_dominated_loci(ri)
         assert kept_loci(kernel) == [2, 3]
         assert kernel.classes == ((0, 1), (2, 3), (4,))
         assert kernel.spares == 2 and ri.spares == 1
+        assert reduce_pattern(p) == kernel
 
     def test_nothing_dominated_returns_the_same_instance(self):
         p = named_loci(7, star_hypergraph(7, 4).edges)
-        ri = reduce_pattern(p)
+        ri = dedup(p.rows, p.k)
         assert drop_dominated_loci(ri) is ri
-        assert ri.searched is ri
+        assert reduce_pattern(p) == ri
+
+    @given(st.integers(1, 9), st.data())
+    def test_the_kernel_is_a_fixed_point(self, n, data):
+        # small loci on few taxa: many lie inside others, many rows agree
+        loci = data.draw(
+            st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=10)
+        )
+        kernel = reduce_pattern(named_loci(n, loci))
+        assert drop_dominated_loci(kernel) is kernel
 
     def test_empty_columns_are_dropped(self):
         ri = dedup((0b011, 0b010, 0b001), 3)
@@ -140,22 +148,19 @@ class TestDropDominatedLoci:
         # every 4-set of taxa 0..5 that misses a color of (1, 2, 3, 4, 1, 2),
         # taxon 6 in each locus of taxon 0, and one locus inside another
         # without taxon 6: only that locus tells taxa 0 and 6 apart
-        colors = (1, 2, 3, 4, 1, 2)
-        loci = [
-            set(q) for q in combinations(range(6), 4)
-            if len({colors[v] for v in q}) < 4
-        ]
+        loci = [set(q) for q in planted_4_sets((1, 2, 3, 4, 1, 2))]
         for members in loci:
             if 0 in members:
                 members.add(6)
         loci.append(next(m for m in loci if 0 in m) - {6})
         p = named_loci(7, loci)
-        ri = reduce_pattern(p)
+        ri = dedup(p.rows, p.k)
         assert zero_and_screen(p) is None  # every triple is covered
         kernel = drop_dominated_loci(ri)
         assert (ri.n_reduced, kernel.n_reduced) == (7, 6)
         assert kernel.classes[0] == (0, 6)
-        witness = kernel_nrc4(ri).witness
+        assert reduce_pattern(p) == kernel
+        witness = kernel_nrc4(kernel).witness
         assert witness.assignment[0] == witness.assignment[6]
         assert verify_no_rainbow(build_hypergraph(p), witness)
 
@@ -228,25 +233,32 @@ class TestFptDriver:
             h = build_hypergraph(p)
             assert fpt_nrc4(p).found == (brute_force_nrc(h, 4) is not None)
 
+    # the star on six taxa (decisive), and every 4-set of six taxa that
+    # misses a color of (1, 2, 3, 4, 1, 2) (not): in both, no locus lies
+    # inside another and all rows differ
+    REGIME_LOCI = [star_hypergraph(6, 4).edges, planted_4_sets((1, 2, 3, 4, 1, 2))]
+
     def test_spares_zero_regime(self):
-        # all rows distinct: kernel == original, only r=4 searched
-        p = CoveragePattern.from_sets(
-            list("abcd"),
-            [("L1", [0, 1, 2, 3]), ("L2", [1, 2, 3]), ("L3", [2, 3]), ("L4", [3])],
-        )
-        assert reduce_pattern(p).spares == 0
-        assert fpt_nrc4(p).found == nrc4(build_hypergraph(p)).found
+        # the kernel is the pattern itself, searched directly
+        for loci in self.REGIME_LOCI:
+            p = named_loci(6, loci)
+            kernel = reduce_pattern(p)
+            assert kernel.spares == 0 and kernel.rows == p.rows
+            h = build_hypergraph(p)
+            fpt = fpt_nrc4(p)
+            assert fpt.found == nrc4(h).found
+            assert not fpt.found or verify_no_rainbow(h, fpt.witness)
 
     def test_spares_one_regime(self):
-        p = CoveragePattern.from_sets(
-            list("abcde"),
-            [("L1", [0, 1, 2, 3, 4]), ("L2", [1, 2, 3, 4]), ("L3", [2, 3, 4]),
-             ("L4", [3, 4])],
-        )
-        ri = reduce_pattern(p)
-        assert ri.spares == 1
-        h = build_hypergraph(p)
-        assert fpt_nrc4(p).found == (brute_force_nrc(h, 4) is not None)
+        # taxon 6 in exactly the loci of taxon 5: one spare in the kernel
+        for loci in self.REGIME_LOCI:
+            p = named_loci(7, [set(e) | ({6} if 5 in e else set()) for e in loci])
+            kernel = reduce_pattern(p)
+            assert kernel.spares == 1 and kernel.classes[-1] == (5, 6)
+            h = build_hypergraph(p)
+            fpt = fpt_nrc4(p)
+            assert fpt.found == (brute_force_nrc(h, 4) is not None)
+            assert not fpt.found or verify_no_rainbow(h, fpt.witness)
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidInstanceError):
@@ -275,7 +287,7 @@ def planted_loci(rng: random.Random, n: int) -> list:
     4-coloring, so that coloring is a no-rainbow witness."""
     colors = [1, 2, 3, 4] + [rng.randint(1, 4) for _ in range(n - 4)]
     rng.shuffle(colors)
-    return [q for q in combinations(range(n), 4) if len({colors[v] for v in q}) < 4]
+    return planted_4_sets(tuple(colors))
 
 
 class TestKernelSearchAgainstOracle:
