@@ -353,7 +353,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 def _cmd_reduce(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
     ri = reduction.dedup(pattern.rows, pattern.k)  # duplicate rows only
-    kernel = reduction.reduce_pattern(pattern)
+    kernel = reduction.drop_dominated_loci(ri)  # as reduce_pattern(pattern)
     kept = 0  # loci left after dropping the dominated ones
     for row in kernel.rows:
         kept |= row

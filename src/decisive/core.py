@@ -7,6 +7,7 @@ kept only for presentation.  All types here are immutable after construction.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -116,7 +117,8 @@ class Coloring:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(v < 1 or v > self.r for v in self.assignment):
+        a = self.assignment
+        if a and (min(a) < 1 or max(a) > self.r):
             raise InvalidInstanceError("coloring value outside 1..r")
 
     def is_surjective(self) -> bool:
@@ -177,20 +179,79 @@ def is_rainbow(edge: Iterable[int], coloring: Coloring) -> bool:
     )
 
 
+def color_classes(coloring: Coloring) -> list[tuple[int, ...]]:
+    """The nodes of each color, ascending: ``classes[q - 1]`` holds the nodes
+    of color q, and is empty when q is unused."""
+    classes: list[list[int]] = [[] for _ in range(coloring.r + 1)]
+    for v, q in enumerate(coloring.assignment):
+        classes[q].append(v)
+    return list(map(tuple, classes[1:]))
+
+
 def no_rainbow_failure(h: Hypergraph, coloring: Coloring) -> Optional[str]:
     """Why ``coloring`` is not a no-rainbow coloring of ``h``, or None if it is.
 
-    Non-surjectivity and rainbow edges are reported as distinct reasons.
+    Non-surjectivity and rainbow edges are reported as distinct reasons, a
+    rainbow edge by its index and members.  The check works class by class.
+    The color classes partition the nodes, so an edge longer than all classes
+    but a largest one together holds a node of that largest class, and it is
+    rainbow iff it also meets each smaller class.  That is tested by
+    bisecting the edge for the smaller classes' nodes, stopping in each class
+    at its first node found (at most three lookups for a triple-gap witness,
+    whose smaller classes are single taxa).  An edge no longer than the
+    smaller classes together is tested by its set of colors instead.  The
+    bisection relies on each edge being sorted with no repeats, which
+    ``Hypergraph`` ensures, and ``CoveragePattern`` checks of its loci, when
+    built.
     """
-    if len(coloring.assignment) != h.node_count:
+    return coloring_failure(h.node_count, h.edges, coloring, color_classes(coloring))
+
+
+def coloring_failure(
+    node_count: int,
+    edges: Iterable[tuple[int, ...]],
+    coloring: Coloring,
+    classes: Sequence[tuple[int, ...]],
+) -> Optional[str]:
+    """``no_rainbow_failure`` on ``node_count`` nodes and ``edges``, sorted
+    tuples of distinct nodes, with ``coloring`` split by ``color_classes``.
+
+    The edges are read as given, so a pattern's loci are checked with no
+    ``Hypergraph`` built from them.
+    """
+    if len(coloring.assignment) != node_count:
         return "coloring does not cover every node"
-    if not coloring.is_surjective():
-        missing = sorted(set(range(1, coloring.r + 1)) - set(coloring.assignment))
-        return f"not surjective: color {missing[0]} unused"
-    for idx, edge in enumerate(h.edges):
-        if is_rainbow(edge, coloring):
+    for q, members in enumerate(classes, start=1):
+        if not members:
+            return f"not surjective: color {q} unused"
+    largest = max(classes, key=len)
+    smaller = [members for members in classes if members is not largest]
+    small_total = node_count - len(largest)
+    r = coloring.r
+    color = coloring.assignment.__getitem__
+    for idx, edge in enumerate(edges):
+        if len(edge) > small_total:
+            for members in smaller:
+                if not _meets(edge, members):
+                    break
+            else:
+                return f"rainbow edge {idx}: {edge}"
+        elif len(set(map(color, edge))) == r:
             return f"rainbow edge {idx}: {edge}"
     return None
+
+
+def _meets(edge: tuple[int, ...], members: tuple[int, ...]) -> bool:
+    """True iff the sorted ``edge`` holds one of the ascending ``members``."""
+    lo = 0
+    end = len(edge)
+    for v in members:
+        lo = bisect_left(edge, v, lo)
+        if lo == end:
+            return False
+        if edge[lo] == v:
+            return True
+    return False
 
 
 def incidence_rows(n: int, edges: Iterable[Iterable[int]]) -> list[int]:

@@ -16,7 +16,15 @@ bound only confirms a witness the search finds anyway, and ``decisive bound``
 reports it.  Fewer colors are never searched: once every triple is covered, a
 2- or 3-coloring has one taxon of each color inside a common locus, so it is
 rainbow.  Every non-decisive verdict carries a four-block partition witness
-that is re-checked before being returned.
+that is re-checked before being returned, on every raw locus of the pattern,
+not the kernel.  ``core.coloring_failure`` reads the loci as the pattern
+holds them, so no ``Hypergraph`` is built for it, and tests each locus against
+the witness's color classes, which are also the verdict's blocks.  The test
+is exact because the classes partition the taxa: a locus longer than all but
+a largest class together holds a taxon of that class, so it is rainbow iff it
+meets every smaller class, which a bisection of the locus finds
+(``CoveragePattern`` checked each locus sorted with no repeats when built); a
+shorter locus is tested by its set of colors.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import reduction
-from .core import Coloring, CoveragePattern, build_hypergraph, verify_no_rainbow
+from .core import Coloring, CoveragePattern, color_classes, coloring_failure
 from .errors import DecisiveError
 from .nrc import DEFAULT_SEARCH_CAP
 
-# unused here, but perfbench/tracing.py binds pipeline.nrc4
+# unused here, but perfbench/tracing.py binds pipeline.nrc4,
+# pipeline.build_hypergraph and pipeline.verify_no_rainbow
+from .core import build_hypergraph, verify_no_rainbow  # noqa: F401
 from .nrc import nrc4  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -67,12 +77,13 @@ class SubsetTrace:
 
 def partition_from_coloring(coloring: Coloring) -> Partition:
     """Color classes as a canonical partition: blocks ordered by smallest
-    member, members ascending.  A block is opened at its smallest member, so
-    one pass puts them in that order."""
-    blocks: dict[int, list[int]] = {}  # color -> its nodes, ascending
-    for v, color in enumerate(coloring.assignment):
-        blocks.setdefault(color, []).append(v)
-    return tuple(map(tuple, blocks.values()))
+    member, members ascending."""
+    return _partition(color_classes(coloring))
+
+
+def _partition(classes: list[tuple[int, ...]]) -> Partition:
+    # the classes are disjoint, so sorting orders them by smallest member
+    return tuple(sorted(filter(None, classes)))
 
 
 def coloring_from_partition(blocks: Partition, n: int) -> Coloring:
@@ -86,13 +97,14 @@ def coloring_from_partition(blocks: Partition, n: int) -> Coloring:
 def _non_decisive(
     pattern: CoveragePattern, witness: Coloring, decided_by: str, stats: dict
 ) -> Verdict:
-    h = build_hypergraph(pattern)
-    if not verify_no_rainbow(h, witness):
+    classes = color_classes(witness)
+    loci = (members for _name, members in pattern.loci)
+    if coloring_failure(pattern.n, loci, witness, classes) is not None:
         raise DecisiveError(
             f"internal error: {decided_by} produced a witness that fails "
             "re-verification"
         )
-    return Verdict(False, partition_from_coloring(witness), decided_by, stats)
+    return Verdict(False, _partition(classes), decided_by, stats)
 
 
 def decide(

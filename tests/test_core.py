@@ -14,6 +14,8 @@ from decisive.core import (
     CoveragePattern,
     Hypergraph,
     build_hypergraph,
+    color_classes,
+    coloring_failure,
     connected_components,
     is_rainbow,
     no_rainbow_failure,
@@ -157,6 +159,111 @@ class TestRainbow:
     def test_coloring_value_range_checked(self):
         with pytest.raises(InvalidInstanceError):
             Coloring(4, (0, 1, 2, 3))
+        with pytest.raises(InvalidInstanceError):
+            Coloring(4, (1, 2, 5, 3))
+
+    def test_empty_coloring_is_valid(self):
+        assert Coloring(4, ()).assignment == ()
+
+    def test_edge_inside_the_smaller_classes_is_not_rainbow(self):
+        # colors 1-3 hold one node each, so the edge meets each of them and
+        # is exactly as long as they are together: it misses color 4
+        c = Coloring(4, (1, 2, 3, 4, 4, 4))
+        assert no_rainbow_failure(Hypergraph(6, ((0, 1, 2), (0, 1, 2, 5))), c) == (
+            "rainbow edge 1: (0, 1, 2, 5)"
+        )
+        assert no_rainbow_failure(Hypergraph(6, ((0, 1, 2),)), c) is None
+        assert no_rainbow_failure(Hypergraph(6, ((0, 2), (1,))), c) is None
+
+    def test_first_rainbow_edge_is_reported(self):
+        c = Coloring(3, (1, 1, 2, 2, 3, 3))  # three classes tie for largest
+        h = Hypergraph(6, ((0, 1, 2, 3), (5, 3, 0), (0, 2, 4), (1, 2, 3, 4, 5)))
+        assert no_rainbow_failure(h, c) == "rainbow edge 1: (0, 3, 5)"
+
+    def test_color_classes(self):
+        assert color_classes(Coloring(4, (4, 2, 4, 1, 2))) == [
+            (3,), (1, 4), (), (0, 2)
+        ]
+
+
+def reference_failure(h: Hypergraph, coloring: Coloring):
+    """The checker as a loop of ``is_rainbow`` over every edge."""
+    if len(coloring.assignment) != h.node_count:
+        return "coloring does not cover every node"
+    if not coloring.is_surjective():
+        missing = sorted(set(range(1, coloring.r + 1)) - set(coloring.assignment))
+        return f"not surjective: color {missing[0]} unused"
+    for idx, edge in enumerate(h.edges):
+        if is_rainbow(edge, coloring):
+            return f"rainbow edge {idx}: {edge}"
+    return None
+
+
+@st.composite
+def colorings(draw, n: int, r: int) -> Coloring:
+    """Any coloring, or one whose largest class ties with another, or one
+    whose largest class holds all but one node of each other color."""
+    shape = draw(st.sampled_from(["any", "tie", "dominant"]))
+    if shape == "any":
+        return Coloring(r, tuple(draw(st.lists(
+            st.integers(1, r), min_size=n, max_size=n
+        ))))
+    order = draw(st.permutations(range(n)))
+    assignment = [0] * n
+    if shape == "tie":
+        # colors 3..r once each, then colors 1 and 2 in turn
+        for i, v in enumerate(order):
+            assignment[v] = i + 3 if i < r - 2 else 1 + (i - r) % 2
+    else:
+        big = draw(st.integers(1, r))
+        others = [q for q in range(1, r + 1) if q != big]
+        for i, v in enumerate(order):
+            assignment[v] = others[i] if i < len(others) else big
+    return Coloring(r, tuple(assignment))
+
+
+@st.composite
+def colored_hypergraphs(draw) -> tuple[Hypergraph, Coloring]:
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 12))
+    nodes = st.integers(0, n - 1)
+    edges = draw(st.lists(st.one_of(
+        st.lists(nodes, min_size=1, max_size=r),  # unsorted, as short as r
+        st.lists(nodes, min_size=1, max_size=2 * n),
+        st.sets(nodes, min_size=1).map(sorted).map(tuple),
+    ), min_size=1, max_size=8))
+    coloring = draw(st.one_of(
+        colorings(n, r),
+        st.integers(max(n - 1, 1), n + 1).flatmap(lambda m: colorings(m, r)),
+    ))
+    return Hypergraph(n, tuple(edges)), coloring
+
+
+class TestClassWiseChecker:
+    @given(colored_hypergraphs())
+    def test_matches_the_edge_loop(self, case):
+        h, coloring = case
+        assert no_rainbow_failure(h, coloring) == reference_failure(h, coloring)
+
+    @given(st.data())
+    def test_pattern_loci_match_the_hypergraph(self, data):
+        n = data.draw(st.integers(1, 10))
+        r = data.draw(st.integers(2, 4))
+        members = data.draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=6
+        ))
+        members.append(members[0])  # two loci of equal members
+        p = CoveragePattern.from_sets(
+            [f"t{i}" for i in range(n)],
+            [(f"L{j}", m) for j, m in enumerate(members)],
+        )
+        coloring = data.draw(colorings(n, r))
+        on_loci = coloring_failure(
+            n, p.locus_subsets(), coloring, color_classes(coloring)
+        )
+        on_graph = no_rainbow_failure(build_hypergraph(p), coloring)
+        assert (on_loci is None) == (on_graph is None)
+        assert on_graph == reference_failure(build_hypergraph(p), coloring)
 
 
 class TestUncoveredSet:

@@ -26,7 +26,7 @@ from decisive.core import (
     build_hypergraph,
     verify_no_rainbow,
 )
-from decisive.errors import SizeLimitError
+from decisive.errors import DecisiveError, SizeLimitError
 from decisive.nrc import NrcOutcome, nrc4
 from decisive.oracle import brute_force_nrc
 from decisive.pipeline import (
@@ -126,6 +126,44 @@ class TestDecideScreens:
         assert not v.decisive
         w = coloring_from_partition(v.witness, p.n)
         assert verify_no_rainbow(build_hypergraph(p), w)
+
+
+class TestWitnessReverification:
+    """``decide`` re-checks every witness on the raw pattern and refuses one
+    that fails."""
+
+    SCREENED = make_pattern([[0, 1, 2, 3], [1, 2, 3, 4]], 5)
+
+    @pytest.mark.parametrize("assignment", [
+        (1, 2, 3, 4, 4),  # locus 0 is rainbow
+        (1, 1, 2, 3, 3),  # color 4 unused
+    ])
+    def test_screen_witness_that_fails_is_refused(self, monkeypatch, assignment):
+        bad = Coloring(4, assignment)
+        assert not verify_no_rainbow(build_hypergraph(self.SCREENED), bad)
+        monkeypatch.setattr(reduction, "zero_and_screen", lambda p: bad)
+        with pytest.raises(DecisiveError, match="fails re-verification"):
+            decide(self.SCREENED)
+
+    def test_search_witness_that_fails_is_refused(self, monkeypatch):
+        from decisive.bounds import star_hypergraph
+
+        star = make_pattern([list(e) for e in star_hypergraph(6, 4).edges], 6)
+        p = with_copies(star, random.Random(5), 3)
+        lifted = []
+
+        def rainbow_search(ri, search_cap, parallel):
+            kernel_coloring = Coloring(
+                4, tuple(min(i, 3) + 1 for i in range(ri.n_reduced))
+            )
+            lifted.append(lift_coloring(ri, kernel_coloring))
+            return NrcOutcome(lifted[-1], nrc_module.RULE_EXHAUSTED)
+
+        monkeypatch.setattr(reduction, "kernel_nrc4", rainbow_search)
+        with pytest.raises(DecisiveError, match="fails re-verification"):
+            decide(p)
+        assert lifted[0].assignment[:6] == (1, 2, 3, 4, 4, 4)
+        assert not verify_no_rainbow(build_hypergraph(p), lifted[0])
 
 
 class TestKernelBuiltOnlyForTheSearch:
