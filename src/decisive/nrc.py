@@ -19,19 +19,18 @@ patterns produce:
   node's incidence row tested against the edges the component meets, so a
   guess costs a few passes over the nodes, whatever the edge count.
 
-A link screen skips rarest classes that cannot complete.  If every
-(r-1)-set of the nodes outside A lies in an edge that meets A, no guess with
-that A completes: one node from each other class sits in such an edge, and
-it is rainbow.  An edge that meets A meets every superset of A, so both
-searches take A only from the "live" nodes, whose own link leaves some
-(r-1)-set uncovered.  3-NRC screens nothing else: it makes one completion
-per A, which costs no more than a screen.  4-NRC screens each A before its
-B guesses with a stronger rule: every node outside A must lie in a triple
-outside A that no edge meeting A contains.  In a witness, a node outside A
-and one node of each of the two other classes besides its own form such a
-triple, since an edge meeting A that held it would be rainbow.  This rule
-does not pass to supersets of A (a superset may hold the node that failed),
-so it never decides which nodes are live.  Only guesses that cannot succeed
+Before it guesses, a search looks for a node whose link (the edges
+through it) covers every (r-1)-set of the other nodes.  Such a node makes
+every r-coloring rainbow: one node of each color but its own forms an
+(r-1)-set, and the edge that holds that set and the node has all r colors.
+The first such node in index order ends the search with no witness; a taxon
+in every locus, once every triple is covered, is one.  Otherwise A runs
+over all nodes.  3-NRC screens nothing else: it makes one completion per A,
+which costs no more than a screen.  4-NRC screens each A before its B
+guesses: every node outside A must lie in a triple outside A that no edge
+meeting A contains.  In a witness, a node outside A and one node of each of
+the two other classes besides its own form such a triple, since an edge
+meeting A that held it would be rainbow.  Only guesses that cannot succeed
 are skipped, so the witness stays the same.
 
 ``nrc4_rows`` searches incidence rows: ``nrc4`` passes it a hypergraph's,
@@ -173,15 +172,18 @@ def _link_gap(
 # The rows may hold edges of fewer than r nodes.  Those are inert in the
 # search: an edge that meets A and holds an (r-1)-set outside A, or that
 # meets every guessed class and holds two uncolored nodes, has r or more.
-def _live(rows: Sequence[int], r: int) -> list[int]:
-    """The live nodes of an r-NRC search over these incidence rows: those
-    whose own link leaves an (r-1)-set uncovered."""
+def _covering_node(rows: Sequence[int], r: int) -> Optional[int]:
+    """The first node whose link covers every (r-1)-set of the other nodes
+    in these incidence rows, or None; with one, no r-coloring is
+    no-rainbow."""
     n = len(rows)
-    live = [a for a in range(n)
-            if _link_gap(rows, 1 << a, rows[a], r - 1) is not None]
-    log.debug("%d-NRC search: %d of %d nodes pass the link screen",
-              r, len(live), n)
-    return live
+    for v in range(n):
+        if _link_gap(rows, 1 << v, rows[v], r - 1) is None:
+            log.debug("%d-NRC search: node %d's link covers every %d-set of "
+                      "the other nodes", r, v, r - 1)
+            return v
+    log.debug("%d-NRC search: %d of %d nodes pass the link screen", r, n, n)
+    return None
 
 
 def _link_admits(
@@ -330,11 +332,12 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
         raise InvalidInstanceError("3-NRC needs at least 3 nodes")
     check_budget(3, n, guess_cap, f"the hypergraph has {n} nodes")
     rows = incidence_rows(n, h.edges)
-    live = _live(rows, 3)
+    if _covering_node(rows, 3) is not None:
+        return NrcOutcome(None, RULE_EXHAUSTED)
     nodes = {1 << v: row for v, row in enumerate(rows)}
     full_mask = (1 << n) - 1
     for i in range(1, n // 3 + 1):
-        for a in combinations(live, i):
+        for a in combinations(range(n), i):
             amask = meets = 0
             for v in a:
                 amask |= 1 << v
@@ -354,7 +357,6 @@ class _SliceSpent(Exception):
 
 def _nrc4_scan(
     rows: Sequence[int],
-    live: list[int],
     start: int = 0,
     stride: int = 1,
     facts: Optional[tuple[list, list]] = None,
@@ -362,10 +364,9 @@ def _nrc4_scan(
 ) -> Optional[list[int]]:
     """Scan (A, B) guesses in enumeration order, for each A that passes the
     link screen (``_link_admits``: every node outside A lies in a triple that
-    A's link leaves uncovered); with a stride, only every stride-th A of the
-    live nodes from position ``start`` on.  The triples and failed nodes
-    found for one A are kept for the next, in the two lists of ``facts``
-    when given.
+    A's link leaves uncovered); with a stride, only every stride-th A from
+    position ``start`` on.  The triples and failed nodes found for one A are
+    kept for the next, in the two lists of ``facts`` when given.
 
     Per A, each node outside A is paired with its row masked to the edges
     that meet A; per B, the OR of B's rows marks the edges that meet A and
@@ -379,7 +380,7 @@ def _nrc4_scan(
     """
     n = len(rows)
     guesses = chain.from_iterable(
-        combinations(live, i) for i in range(1, n // 4 + 1)
+        combinations(range(n), i) for i in range(1, n // 4 + 1)
     )
     triples, dead = ([], []) if facts is None else facts
     spent = 0
@@ -442,14 +443,15 @@ def nrc4_rows(
     refusal names ``subject``."""
     n = len(rows)
     check_budget(4, n, guess_cap, subject)
-    live = _live(rows, 4)
-    classes = _nrc4_parallel(rows, live) if parallel else _nrc4_scan(rows, live)
+    if _covering_node(rows, 4) is not None:
+        return NrcOutcome(None, RULE_EXHAUSTED)
+    classes = _nrc4_parallel(rows) if parallel else _nrc4_scan(rows)
     if classes is None:
         return NrcOutcome(None, RULE_EXHAUSTED)
     return NrcOutcome(_coloring_from_masks(n, classes), RULE_SEARCH_4)
 
 
-def _nrc4_parallel(rows: Sequence[int], live: list[int]) -> Optional[list[int]]:
+def _nrc4_parallel(rows: Sequence[int]) -> Optional[list[int]]:
     """The sequential scan, handed to worker processes once it would spend
     more than SLICE_UNITS in-process.
 
@@ -473,10 +475,10 @@ def _nrc4_parallel(rows: Sequence[int], live: list[int]) -> Optional[list[int]]:
         cpus = os.cpu_count() or 1
     count = min(cpus, 8)
     if count <= 1:
-        return _nrc4_scan(rows, live)
+        return _nrc4_scan(rows)
     facts: tuple[list, list] = ([], [])
     try:
-        return _nrc4_scan(rows, live, facts=facts, budget=SLICE_UNITS)
+        return _nrc4_scan(rows, facts=facts, budget=SLICE_UNITS)
     except _SliceSpent as stop:
         resume, spent = stop.args
         log.debug(
@@ -490,7 +492,7 @@ def _nrc4_parallel(rows: Sequence[int], live: list[int]) -> Optional[list[int]]:
             receive, send = multiprocessing.Pipe(duplex=False)
             worker = multiprocessing.Process(
                 target=_send_scan,
-                args=(send, rows, live, resume + offset, count, facts),
+                args=(send, rows, resume + offset, count, facts),
             )
             worker.start()
             workers[receive] = worker

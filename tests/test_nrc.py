@@ -372,7 +372,9 @@ class TestSlice:
                 assert handed_off
             assert multiprocessing.active_children() == []
 
-    # every A of the 12-node star, each passed to the link screen once
+    # every A of the 12-node star, each passed to the link screen once: no
+    # node of a star covers every triple of the others, so A runs over all
+    # nodes
     @pytest.mark.parametrize("units", [0, 1, 3000, 11000])
     def test_split_visits_every_live_a_once(self, monkeypatch, units):
         from decisive.bounds import star_hypergraph
@@ -591,6 +593,21 @@ class TestNodeScreen:
                 completing += completes
         assert skipped >= 20 and completing >= 5
 
+    # a node whose link covers every (r-1)-set of the others ends both
+    # searches: the first one is returned, and no coloring is no-rainbow
+    @given(st.sampled_from(sorted(FAMILIES)), st.sampled_from([3, 4]),
+           st.randoms(use_true_random=False))
+    def test_covering_node_is_a_certificate(self, family, r, rng):
+        h = self.FAMILIES[family](rng)
+        n = h.node_count
+        covers = [reference_link_covers(h, (v,), r - 1) for v in range(n)]
+        v = nrc_module._covering_node(incidence_rows(n, h.edges), r)
+        if v is None:
+            assert not any(covers)
+        else:
+            assert covers.index(True) == v
+            assert brute_force_nrc(h, r) is None
+
 
 class TestGuessBudget:
     @pytest.fixture
@@ -666,17 +683,46 @@ class TestGuessBudget:
             assert not nrc3(h).found
             assert completions[0] == guesses - skipped
 
-    def test_grouped_miss_kernel_makes_no_completion(self, completions):
-        # taxon i in group i mod 15, locus j drops group j: a 15-row kernel
-        # in which every triple lies in an edge through any one node
+    @staticmethod
+    def grouped_miss_kernel():
+        """Taxon i in group i mod 15, locus j drops group j: a 15-row kernel
+        in which every triple lies in an edge through any one node."""
         p = CoveragePattern.from_sets(
             [f"t{i}" for i in range(45)],
             [(f"L{j}", [i for i in range(45) if i % 15 != j]) for j in range(15)],
         )
-        kernel = reduce_pattern(p)
+        return reduce_pattern(p)
+
+    def test_grouped_miss_kernel_makes_no_completion(self, completions):
+        kernel = self.grouped_miss_kernel()
         assert kernel.n_reduced == 15
         assert not nrc4(kernel_hypergraph(kernel)).found
         assert completions[0] == 0
+
+    # node 0 of the kernel above covers every pair and every triple of the
+    # others, so both searches stop after testing it alone
+    @pytest.mark.parametrize("r,search", [(3, nrc3), (4, nrc4)])
+    def test_covering_node_ends_the_search(
+        self, monkeypatch, caplog, completions, r, search
+    ):
+        h = kernel_hypergraph(self.grouped_miss_kernel())
+        gaps = []
+        link_gap = nrc_module._link_gap
+
+        def recorded(rows, amask, meets, size):
+            gaps.append((amask, size))
+            return link_gap(rows, amask, meets, size)
+
+        monkeypatch.setattr(nrc_module, "_link_gap", recorded)
+        caplog.set_level(logging.DEBUG, logger="decisive.nrc")
+        out = search(h)
+        assert not out.found and out.rule == RULE_EXHAUSTED
+        assert gaps == [(1, r - 1)]
+        assert completions[0] == 0
+        assert caplog.records[-1].getMessage() == (
+            f"{r}-NRC search: node 0's link covers every {r - 1}-set of the "
+            "other nodes"
+        )
 
     def test_default_budget_admits_18_nodes_and_refuses_19(self):
         assert nrc4_guesses(18) == 6492147 <= DEFAULT_SEARCH_CAP
