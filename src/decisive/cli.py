@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__, bounds, emit, oracle, pipeline, reduction
 from .nrc import DEFAULT_SEARCH_CAP, nrc
-from .core import Coloring, CoveragePattern, Hypergraph, build_hypergraph
+from .core import (Coloring, CoveragePattern, Hypergraph, build_hypergraph,
+                   uncovered_set)
 from .errors import DecisiveError, InputFormatError, SizeLimitError
 
 EXIT_NO_WITNESS = 0
@@ -353,7 +354,15 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 def _cmd_reduce(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
     ri = reduction.dedup(pattern.rows, pattern.k)  # duplicate rows only
-    kernel = reduction.drop_dominated_loci(ri)  # as reduce_pattern(pattern)
+    kernel = reduction.reduce_pattern(pattern)
+    folded = {}  # folded taxon -> the taxon whose color it takes
+    # the fold is sound only once every triple is covered, as decide finds
+    # before it folds; otherwise decide searches nothing
+    if uncovered_set(pattern.rows, 3) is None:
+        kernel = reduction.fold_kernel(kernel)
+        for row, members in zip(kernel.rows, kernel.classes):
+            onto = next(u for u in members if kernel.source_rows[u] == row)
+            folded.update((v, onto) for v in members if kernel.source_rows[v] != row)
     kept = 0  # loci left after dropping the dominated ones
     for row in kernel.rows:
         kept |= row
@@ -375,6 +384,7 @@ def _cmd_reduce(args) -> tuple[int, dict]:
             name for j, (name, _members) in enumerate(pattern.loci)
             if not kept >> j & 1
         ],
+        folded_taxa={pattern.taxa[v]: pattern.taxa[u] for v, u in folded.items()},
         search_rows=kernel.n_reduced,
     )
 

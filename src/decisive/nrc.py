@@ -83,9 +83,10 @@ GUESS_COUNT_LIMIT = 10**18
 # and only then starts worker processes for the rest.
 # On a 2-core x86 VM a unit takes 2.0-2.5 us, so the slice lasts 31-37 ms
 # (star_hypergraph(13, 4) and (14, 4), medians of 15), five to seven times
-# the 4.6-6.7 ms that starting and joining two workers costs.  The search-
-# direct benchmark instances all stay in-process: the exhaustive 12-node star
-# spends 11,742 units, a planted 10-12-node witness 42-179.  The 13-node star
+# the 4.6-6.7 ms that starting and joining two workers costs.  A planted
+# 10-12-node witness of the search-direct benchmark spends 42-179 units
+# (decide folds its stars to one row and searches none of them), and an
+# exhaustive nrc4 on the 12-node star 11,742.  The 13-node star
 # hands off at 14,913 units, and any longer search pays about half a slice
 # for it, the part two workers would have shared; the 16-node star, whose
 # single-node A's make some 5,000 completions each, hands off at 14,829.

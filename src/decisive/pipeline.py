@@ -3,10 +3,15 @@
 A pattern is decisive iff its coverage hypergraph has no no-rainbow
 4-coloring.  ``decide`` runs one stack: cheap certificates first (full locus;
 uncovered triple and rooted case, both read off the pattern's own rows), then,
-only if none fires, it builds the kernel (``reduction.reduce_pattern``:
-duplicate rows struck out, dominated loci dropped) and searches it for a
-no-rainbow 4-coloring, unless an exhaustive search would exceed the guess
-budget.  The search reads the kernel's rows, counts its guesses once and
+only if none fires, it builds the kernel and searches it for a no-rainbow
+4-coloring, unless an exhaustive search would exceed the guess budget.  The
+kernel comes from all three reduction rules: ``reduction.reduce_pattern``
+strikes out duplicate rows and drops dominated loci, and then, since the
+triple screen found every triple covered, ``reduction.fold_kernel`` folds
+each taxon whose row lies inside another's onto that row, in turn with
+dropping the loci that become dominated.  A kernel of fewer than 4 rows is
+decisive with no search; the tight stars of ``bounds.star_hypergraph`` fold
+to one row.  The search reads the kernel's rows, counts its guesses once and
 looks for no uncovered triple again: each row is a taxon's.  The other
 engines stay public: ``nrc.nrc4`` on the raw hypergraph is reached from
 ``decisive nrc``, ``oracle.brute_force_nrc`` from ``decisive oracle``, and
@@ -115,9 +120,10 @@ def decide(
     """Decide decisiveness.
 
     Runs the screens in cost order on the pattern's rows; only when none
-    fires does it build the kernel (``reduction.reduce_pattern``) and search
-    it: the verdict reads "fpt" when the kernel has fewer rows than the
-    pattern has taxa, "direct-search" when it is the input itself.
+    fires does it build the kernel (``reduction.reduce_pattern``, then
+    ``reduction.fold_kernel``) and search it: the verdict reads "fpt" when
+    the kernel has fewer rows than the pattern has taxa, "direct-search"
+    when it is the input itself.
     ``search_cap`` is the guess budget of the search (see
     ``nrc.nrc4_guesses``); a search over it raises SizeLimitError before it
     starts.  Each verdict is logged at debug level with its stage, the
@@ -164,7 +170,7 @@ def _decide(
     if reduction.full_row(pattern.rows, pattern.k) is not None:
         return Verdict(True, None, DECIDED_ROOTED, stats()), None
 
-    ri = reduction.reduce_pattern(pattern)
+    ri = reduction.fold_kernel(reduction.reduce_pattern(pattern))
     outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
     engine = DECIDED_FPT if ri.spares else DECIDED_DIRECT
     if outcome.found:

@@ -120,6 +120,21 @@ def with_copies(
     return named_loci(p.n + copies, loci)
 
 
+def with_subset_taxa(
+    n: int, loci: list, rng: random.Random, extra: int, keep: float = 0.8
+) -> CoveragePattern:
+    """The pattern on taxa 0..n-1 plus ``extra`` new taxa, each in a random
+    share ``keep`` of the loci of an earlier taxon, so its row lies inside
+    that taxon's row.  It may leave a triple uncovered."""
+    loci = [set(members) for members in loci]
+    for new in range(n, n + extra):
+        original = rng.randrange(new)
+        for members in loci:
+            if original in members and rng.random() < keep:
+                members.add(new)
+    return named_loci(n + extra, [sorted(m) for m in loci if m])
+
+
 def kernel_hypergraph(ri) -> Hypergraph:
     """The hypergraph of a ``ReducedInstance``'s rows: its rows as nodes,
     its nonempty columns as edges in locus order."""

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import named_loci, planted_4_sets, with_copies
 from decisive.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INPUT_ERROR,
@@ -36,6 +37,7 @@ from decisive.cli import (
     run,
 )
 from decisive import __version__, emit
+from decisive.bounds import star_hypergraph
 from decisive.core import CoveragePattern, build_hypergraph, incidence_rows
 from decisive.errors import InputFormatError, SizeLimitError
 
@@ -580,15 +582,13 @@ class TestCheck:
         capsys.readouterr()
 
     def test_search_past_the_cap_exit_three(self, tmp_path, capsys, schema):
-        # locus j drops the taxa i = j mod 22 and one random taxon: every
-        # triple is covered and the kernel has 35 rows, far over the budget
-        rng = random.Random(0)
-        loci = []
-        for j in range(22):
-            members = {i for i in range(40) if i % 22 != j}
-            members.discard(rng.choice(sorted(members)))
-            loci.append((f"L{j}", members))
-        p = CoveragePattern.from_sets([f"t{i}" for i in range(40)], loci)
+        # every 4-set of 19 taxa that misses a color of a hidden coloring,
+        # plus three copies: every triple is covered, the 19 rows and the
+        # loci are antichains, so nothing folds or drops, and no row's link
+        # covers every triple (the pattern has a witness), so the 19-row
+        # kernel is over the budget
+        planted = named_loci(19, planted_4_sets(tuple(i % 4 for i in range(19))))
+        p = with_copies(planted, random.Random(0), 3)
         f = tmp_path / "p.csv"
         f.write_text(pattern_to_matrix_csv(p))
         code, report = run_cli(
@@ -597,9 +597,9 @@ class TestCheck:
         assert code == EXIT_CAP_EXCEEDED
         assert report["error"]["type"] == "size-limit"
         message = report["error"]["message"]
-        assert "255980907171076 guesses, over the budget of 10000000" in message
-        # the input is already the kernel: name it, and give no reduce advice
-        assert "kernel of 40 taxa has 35 rows" in message
+        assert "22737756 guesses, over the budget of 10000000" in message
+        # name the kernel, and give no reduce advice
+        assert "kernel of 22 taxa has 19 rows" in message
         assert "reduce" not in message
         jsonschema.validate(report, schema)
 
@@ -738,6 +738,33 @@ class TestReportingCommands:
         assert report["search_rows"] == 3
         jsonschema.validate(report, schema)
 
+    def test_reduce_reports_folded_taxa(self, tmp_path, capsys, schema):
+        # the 6-node star: every triple is covered, and the fold leaves one
+        # row, {L0}, which t0-t3 hold and t4 and t5 do not
+        f = tmp_path / "p.loci"
+        f.write_text(pattern_to_locus_list(named_loci(6, star_hypergraph(6, 4).edges)))
+        code, report = run_cli(
+            capsys, "reduce", "--input", str(f), "--format", "locus-list"
+        )
+        assert code == EXIT_NO_WITNESS
+        assert report["n_reduced"] == 6 and report["spares"] == 0
+        assert report["folded_taxa"] == {"t4": "t0", "t5": "t0"}
+        assert report["dominated_loci"] == [f"L{j}" for j in range(1, 10)]
+        assert report["search_rows"] == 1
+        jsonschema.validate(report, schema)
+
+    def test_reduce_folds_nothing_with_an_uncovered_triple(self, tmp_path, capsys):
+        # c, d and e share no locus; c's row lies inside a's, but the fold
+        # would be unsound here, and decide searches nothing
+        f = tmp_path / "p.loci"
+        f.write_text("L1: a b c d\nL2: a b e\n")
+        code, report = run_cli(
+            capsys, "reduce", "--input", str(f), "--format", "locus-list"
+        )
+        assert code == EXIT_NO_WITNESS
+        assert report["folded_taxa"] == {}
+        assert report["dominated_loci"] == [] and report["search_rows"] == 3
+
     def test_bound_report(self, tmp_path, capsys):
         f = tmp_path / "p.csv"
         f.write_text(FULL_LOCUS)
@@ -822,6 +849,7 @@ class TestOutput:
         'copy_classes: {"a": ["a", "b"], "c": ["c"], "d": ["d"]}\n'
         "dominated_loci: []\n"
         "exit_code: 0\n"
+        "folded_taxa: {}\n"
         "k: 2\n"
         "n: 4\n"
         "n_reduced: 3\n"

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     duplicated_pattern,
     kernel_hypergraph,
+    planted_4_sets,
     planted_pattern,
     random_pattern,
     reference_link_covers,
@@ -146,10 +147,11 @@ class TestWitnessReverification:
             decide(self.SCREENED)
 
     def test_search_witness_that_fails_is_refused(self, monkeypatch):
-        from decisive.bounds import star_hypergraph
-
-        star = make_pattern([list(e) for e in star_hypergraph(6, 4).edges], 6)
-        p = with_copies(star, random.Random(5), 3)
+        # every 4-set of six taxa that misses a color of (1, 2, 3, 4, 1, 2),
+        # plus copies: the six rows form an antichain, so nothing folds and
+        # the kernel that reaches the search has six rows
+        planted = make_pattern(planted_4_sets((1, 2, 3, 4, 1, 2)), 6)
+        p = with_copies(planted, random.Random(5), 3)
         lifted = []
 
         def rainbow_search(ri, search_cap, parallel):
@@ -463,6 +465,80 @@ class TestDominatedLoci:
                 and reduce_pattern(p).n_reduced < dedup(p.rows, p.k).n_reduced
             )
         assert shrunk >= 10  # the search ran on a smaller kernel
+
+
+class TestFoldedKernel:
+    """decide searches the kernel that the fold leaves, once every triple
+    is covered."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The kernels passed to ``reduction.kernel_nrc4``, and a count of
+        the search's completions."""
+        seen = dict(kernels=[], completions=0)
+        kernel_nrc4, complete = reduction.kernel_nrc4, nrc_module._complete
+
+        def kernel_spy(ri, *args):
+            seen["kernels"].append(ri)
+            return kernel_nrc4(ri, *args)
+
+        def complete_spy(*args):
+            seen["completions"] += 1
+            return complete(*args)
+
+        monkeypatch.setattr(reduction, "kernel_nrc4", kernel_spy)
+        monkeypatch.setattr(nrc_module, "_complete", complete_spy)
+        return seen
+
+    def test_star_reaches_the_search_as_one_row(self, searched):
+        from decisive.bounds import star_hypergraph
+
+        p = make_pattern([list(e) for e in star_hypergraph(10, 4).edges], 10)
+        assert reduce_pattern(p).n_reduced == 10
+        v = decide(p)
+        assert v.decisive and v.decided_by == DECIDED_FPT
+        assert v.stats["rule"] == nrc_module.RULE_EXHAUSTED
+        (kernel,) = searched["kernels"]
+        assert kernel.n_reduced == 1 and kernel.classes == (tuple(range(10)),)
+        assert searched["completions"] == 0
+
+    def test_shape_once_refused_is_decided(self, searched):
+        # locus j drops the taxa i = j mod 22 and one random taxon: every
+        # triple is covered and the rows form no antichain, 35 of them
+        # until the fold leaves one
+        rng = random.Random(0)
+        dropped = []
+        for j in range(22):
+            d = {i for i in range(40) if i % 22 == j}
+            d.add(rng.choice(sorted(set(range(40)) - d)))
+            dropped.append(d)
+        p = missing_groups(40, dropped)
+        assert reduce_pattern(p).n_reduced == 35
+        start = time.perf_counter()
+        v = decide(p)
+        assert time.perf_counter() - start < 1.0
+        assert v.decisive and v.decided_by == DECIDED_FPT
+        assert [ri.n_reduced for ri in searched["kernels"]] == [1]
+        assert searched["completions"] == 0
+
+    def test_unfolded_kernels_give_the_search_they_gave_before(self):
+        # where the fold returns the kernel itself, decide's verdict and
+        # witness are the search's on reduce_pattern's kernel
+        rng = random.Random("unfolded")
+        unfolded = 0
+        for _ in range(80):
+            p = with_copies(planted_pattern(rng, (5, 9)), rng, rng.randint(0, 3))
+            kernel = reduce_pattern(p)
+            if zero_and_screen(p) is not None or kernel.n_reduced < 4:
+                continue
+            if reduction.fold_kernel(kernel) is not kernel:
+                continue
+            unfolded += 1
+            v = decide(p)
+            outcome = reduction.kernel_nrc4(kernel)
+            assert v.witness == partition_from_coloring(outcome.witness)
+            assert v.decided_by == (DECIDED_FPT if kernel.spares else DECIDED_DIRECT)
+        assert unfolded >= 10
 
 
 class TestKernelSearch:

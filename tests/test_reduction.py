@@ -3,19 +3,25 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 
 from conftest import (
     duplicated_pattern,
     kernel_hypergraph,
     named_loci,
     planted_4_sets,
+    planted_pattern,
+    random_pattern,
+    with_subset_taxa,
 )
 from decisive.bounds import star_hypergraph
 from decisive.core import (
     Coloring,
     CoveragePattern,
     build_hypergraph,
+    color_classes,
+    coloring_failure,
+    uncovered_set,
     verify_no_rainbow,
 )
 from decisive.errors import InvalidInstanceError
@@ -23,8 +29,10 @@ from decisive.nrc import nrc4
 from decisive.oracle import brute_force_nrc
 from decisive.pipeline import coloring_from_partition, decide
 from decisive.reduction import (
+    ReducedInstance,
     dedup,
     drop_dominated_loci,
+    fold_kernel,
     fpt_nrc4,
     kernel_nrc4,
     lift_coloring,
@@ -317,3 +325,183 @@ class TestKernelSearchAgainstOracle:
             if fpt.found:
                 assert verify_no_rainbow(h, fpt.witness)
         assert "fpt" in labels  # the kernel search itself decided some
+
+
+def search_kernel(p: CoveragePattern):
+    """The kernel ``decide`` searches once every triple is covered."""
+    return fold_kernel(reduce_pattern(p))
+
+
+def passes_on_the_loci(p: CoveragePattern, witness: Coloring) -> bool:
+    loci = (members for _name, members in p.loci)
+    return coloring_failure(p.n, loci, witness, color_classes(witness)) is None
+
+
+def covered_pattern(n: int, loci: list, extras: list) -> CoveragePattern:
+    """The loci plus, for each triple of taxa that they leave uncovered, a
+    locus of that triple and the taxa of the next entry of ``extras``."""
+    loci = [set(members) for members in loci]
+    extras = iter(extras)
+    p = named_loci(n, loci)
+    while (triple := uncovered_set(p.rows, 3)) is not None:
+        loci.append(set(triple) | next(extras, set()))
+        p = named_loci(n, loci)
+    return p
+
+
+class TestFoldKernel:
+    """The third rule: once every triple is covered, a row inside another
+    folds onto it, in turn with dropping the loci then dominated."""
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_stars_fold_to_one_row(self, n):
+        # one row and one locus a round: the n-node star needs n - 4 rounds
+        p = named_loci(n, star_hypergraph(n, 4).edges)
+        assert reduce_pattern(p).n_reduced == n
+        kernel = search_kernel(p)
+        assert kernel.n_reduced == 1 and kernel.spares == n - 1
+        assert kernel.classes == (tuple(range(n)),)
+        assert kernel_nrc4(kernel) == kernel_nrc4(reduce_pattern(p))
+
+    def test_a_row_folds_onto_the_first_maximal_row_holding_it(self):
+        # row 1 = {L0, L1} lies inside rows 2 and 3, not inside row 0
+        ri = dedup((0b1100, 0b0011, 0b0111, 0b1011), 4)
+        kernel = fold_kernel(ri)
+        # then L1's column equals L0's, and the rows {L0, L2}, {L0, L3} and
+        # {L2, L3} are left
+        assert kernel.rows == (0b1100, 0b0101, 0b1001)
+        assert kernel.classes == ((0,), (1, 2), (3,))
+        assert kernel.source_rows == (0b1100, 0b0001, 0b0101, 0b1001)
+
+    def test_antichain_returns_the_same_instance(self):
+        p = named_loci(6, planted_4_sets((1, 2, 3, 4, 1, 2)))
+        ri = reduce_pattern(p)
+        assert fold_kernel(ri) is ri
+
+    def test_the_drop_merges_the_classes_it_is_given(self):
+        # taxon 2 ({L2}) folded onto taxon 0 ({L1, L2}); over the two rows
+        # L0 and L2 lie inside L1, and the rows then agree, so the classes
+        # merge, taxon 2 with them, although its row no longer equals theirs
+        ri = ReducedInstance(3, (0b110, 0b011, 0b100), (0b110, 0b011), ((0, 2), (1,)))
+        kernel = drop_dominated_loci(ri)
+        assert kernel.rows == (0b010,) and kernel.classes == ((0, 1, 2),)
+        assert kernel.source_rows == (0b010, 0b010, 0)
+
+    def test_a_folded_taxon_keeps_its_row_through_the_drops(self):
+        # taxon 5 folds onto taxon 2's row; a locus dropped later makes its
+        # row lie inside taxon 1's too, but only taxon 2's color is sound:
+        # rebuilding the classes from the source rows, and folding again,
+        # gives a witness with a rainbow locus
+        loci = [
+            [1, 2, 3, 4, 5], [3, 4, 5], [0, 2, 3, 4], [0, 1, 2, 3, 5], [0, 1, 4],
+            [0, 3, 4, 5], [2, 3, 5], [0, 3, 4, 5], [2, 3, 4],
+        ]
+        p = named_loci(6, loci)
+        kernel = search_kernel(p)
+        assert kernel.classes == ((0,), (1,), (2, 3, 5), (4,))
+        assert passes_on_the_loci(p, kernel_nrc4(kernel).witness)
+        assert not decide(p).decisive
+
+    @given(st.sampled_from(["star", "planted", "random"]), st.data())
+    def test_fixpoint_is_an_antichain_and_witnesses_lift(self, family, data):
+        n = data.draw(st.integers(5, 7))
+        if family == "star":
+            loci = star_hypergraph(n, 4).edges
+        elif family == "planted":
+            colors = (1, 2, 3, 4) + tuple(
+                data.draw(st.lists(st.integers(1, 4), min_size=n - 4, max_size=n - 4))
+            )
+            loci = planted_4_sets(colors)
+        else:  # loci that each miss a few taxa, with every triple covered
+            taxa = st.sets(st.integers(0, n - 1), max_size=3)
+            missed = data.draw(st.lists(taxa, min_size=1, max_size=8))
+            extras = data.draw(st.lists(taxa, max_size=4))
+            loci = [set(range(n)) - m for m in missed]
+            loci = [m for _name, m in covered_pattern(n, loci, extras).loci]
+        p = named_loci(n, loci)
+        assume(uncovered_set(p.rows, 3) is None)  # the fold needs it
+        # taxa in a share of the loci of an earlier taxon, where that keeps
+        # every triple covered
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            loci = [members for _name, members in p.loci]
+            wider = with_subset_taxa(p.n, loci, rng, 1, rng.uniform(0.6, 1))
+            if uncovered_set(wider.rows, 3) is None:
+                p = wider
+        kernel = search_kernel(p)
+        event("folded" if kernel.spares > reduce_pattern(p).spares else "no fold")
+        rows = kernel.rows
+        assert all(a & b != a for a in rows for b in rows if a != b)
+        assert len(set(rows)) == len(rows)
+        columns = [
+            sum(1 << q for q, row in enumerate(rows) if row >> j & 1)
+            for j in range(kernel.k)
+        ]
+        columns = [c for c in columns if c]
+        assert all(
+            a & b != a
+            for i, a in enumerate(columns)
+            for j, b in enumerate(columns)
+            if i != j
+        )
+        assert sorted(u for c in kernel.classes for u in c) == list(range(p.n))
+        # each taxon's row, on the loci kept, lies inside its class's row
+        assert all(
+            kernel.source_rows[u] & row == kernel.source_rows[u]
+            for row, members in zip(rows, kernel.classes)
+            for u in members
+        )
+        outcome = kernel_nrc4(kernel)
+        assert outcome.found == (brute_force_nrc(build_hypergraph(p), 4) is not None)
+        event("witness" if outcome.found else "decisive")
+        if outcome.found:
+            assert passes_on_the_loci(p, outcome.witness)
+
+
+class TestFoldAgainstOracle:
+    """``decide`` and ``fpt_nrc4`` on the conftest families and on planted
+    patterns and stars with taxa whose rows lie inside other rows."""
+
+    FAMILIES = {
+        "random": lambda rng: random_pattern(rng, (4, 9), (3, 8), (3, 8)),
+        "duplicated": lambda rng: duplicated_pattern(
+            rng, rng.randint(4, 6), rng.randint(3, 6), rng.randint(0, 3)
+        ),
+        "planted": lambda rng: planted_pattern(rng, (4, 9)),
+        "planted-subsets": lambda rng: with_subset_taxa(
+            (n := rng.randint(5, 7)),
+            planted_loci(rng, n),
+            rng,
+            rng.randint(1, 3),
+            rng.uniform(0.6, 0.95),
+        ),
+        "star-subsets": lambda rng: with_subset_taxa(
+            (n := rng.randint(5, 7)),
+            star_hypergraph(n, 4).edges,
+            rng,
+            rng.randint(1, 3),
+            rng.uniform(0.6, 0.95),
+        ),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_engines_agree(self, family):
+        rng = random.Random(f"fold-{family}")
+        folds = 0
+        for _ in range(60):
+            p = self.FAMILIES[family](rng)
+            if p.n < 4:
+                continue
+            h = build_hypergraph(p)
+            expected = nrc4(h).witness is None
+            assert p.n > 8 or (brute_force_nrc(h, 4) is None) == expected
+            v = decide(p)  # re-verifies its witness on the loci
+            assert v.decisive == expected
+            fpt = fpt_nrc4(p)
+            assert fpt.found != expected
+            assert not fpt.found or passes_on_the_loci(p, fpt.witness)
+            if uncovered_set(p.rows, 3) is None:
+                kernel = reduce_pattern(p)
+                folds += search_kernel(p).n_reduced < kernel.n_reduced
+        if family.endswith("subsets"):
+            assert folds >= 15
