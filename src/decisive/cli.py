@@ -202,6 +202,8 @@ def _parse_locus_list(text: str) -> CoveragePattern:
     index: dict[str, int] = {}
     loci: list[tuple[str, list[int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "\0" in raw:
+            raise InputFormatError(f"line {lineno}: line contains NUL")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -300,7 +302,7 @@ def _witness_names(pattern, blocks) -> Optional[list[list[str]]]:
 
 def _cmd_check(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
-    verdict = pipeline.decide(pattern, args.search_cap, args.parallel)
+    verdict = pipeline.decide(pattern, args.search_cap)
     return (EXIT_NO_WITNESS if verdict.decisive else EXIT_WITNESS), dict(
         verdict={
             "decisive": verdict.decisive,
@@ -322,16 +324,13 @@ def _coloring_json(coloring: Optional[Coloring]) -> Optional[list[int]]:
 
 
 def _cmd_nrc(args) -> tuple[int, dict]:
-    # only the r = 4 search runs in parallel, and r = 2 searches nothing
-    # that a guess budget bounds
-    if args.parallel and args.r != 4:
-        raise InputFormatError(f"--parallel applies only with --r 4, not --r {args.r}")
+    # r = 2 searches nothing that a guess budget bounds
     if args.search_cap is not None and args.r == 2:
         raise InputFormatError("--search-cap applies only with --r 3 or 4, not --r 2")
     h = _load_hypergraph(args)
     cap = DEFAULT_SEARCH_CAP if args.search_cap is None else args.search_cap
     start = time.perf_counter()
-    outcome = nrc(h, args.r, guess_cap=cap, parallel=args.parallel)
+    outcome = nrc(h, args.r, guess_cap=cap)
     return (EXIT_WITNESS if outcome.found else EXIT_NO_WITNESS), dict(
         r=args.r,
         rule=outcome.rule,
@@ -425,7 +424,7 @@ def _cmd_emit_cnf(args) -> tuple[int, dict]:
 def _cmd_subset(args) -> tuple[int, dict]:
     pattern = parse_pattern_file(args.input, args.format)
     trace = pipeline.decisive_subset(
-        pattern, lambda p: pipeline.decide(p, args.search_cap, args.parallel)
+        pattern, lambda p: pipeline.decide(p, args.search_cap)
     )
     return EXIT_NO_WITNESS, dict(
         removals=[{"taxon": name, "coverage": cov} for name, cov in trace.removals],
@@ -452,9 +451,9 @@ _GRAPH_FORMATS = ("matrix-csv", "locus-list", "edge-list")
 # name: (handler, help, input formats, flags beyond the common ones)
 _COMMANDS = {
     "check": (_cmd_check, "decide decisiveness", _PATTERN_FORMATS,
-              ("--search-cap", "--parallel")),
+              ("--search-cap",)),
     "nrc": (_cmd_nrc, "run a raw no-rainbow search", _GRAPH_FORMATS,
-            ("--r", "--search-cap", "--parallel")),
+            ("--r", "--search-cap")),
     "oracle": (_cmd_oracle, "brute-force no-rainbow search", _GRAPH_FORMATS,
                ("--r", "--oracle-cap")),
     "reduce": (_cmd_reduce, "kernelize and report", _PATTERN_FORMATS, ()),
@@ -462,7 +461,7 @@ _COMMANDS = {
     "emit-ilp": (_cmd_emit_ilp, "write the LP model", _PATTERN_FORMATS, ()),
     "emit-cnf": (_cmd_emit_cnf, "write the DIMACS model", _GRAPH_FORMATS, ()),
     "subset": (_cmd_subset, "greedy decisive subset", _PATTERN_FORMATS,
-               ("--search-cap", "--parallel")),
+               ("--search-cap",)),
 }
 
 # Every flag, in the order the help lists them. A subcommand takes --input,
@@ -480,11 +479,6 @@ _FLAGS = {
         "default": DEFAULT_SEARCH_CAP,
         "help": "guess budget of the exhaustive search; a larger search is "
         "refused (exit 3) before it starts; nrc takes it with --r 3 or 4 only",
-    },
-    "--parallel": {
-        "action": "store_true",
-        "help": "hand a 4-NRC search that outlasts a short in-process slice "
-        "to worker processes; nrc takes it with --r 4 only",
     },
 }
 

@@ -38,12 +38,6 @@ are skipped, so the witness stays the same.
 counts its guesses once and runs no non-neighbor scan, which would find
 nothing: each kernel row is a taxon, and every triple of taxa is covered.
 
-A parallel 4-NRC search runs the same scan in-process for up to
-``SLICE_UNITS`` units of work, one per A examined and one per completion, so
-a witness it finds there is the sequential one.  A search that outlasts the
-slice hands the A's left to worker processes, which take them in turn by
-position.  The screen facts that the slice found go with them.
-
 Witness soundness is always re-checkable with core.verify_no_rainbow.
 
 An exhaustive search makes at most ``nrc3_guesses`` / ``nrc4_guesses``
@@ -55,12 +49,9 @@ starts, even though a witness might turn up early.
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import comb
-from multiprocessing.connection import wait
 from typing import Optional, Sequence
 
 from .core import (Coloring, Hypergraph, connected_components, incidence_rows,
@@ -77,20 +68,6 @@ DEFAULT_SEARCH_CAP = 10**7
 # for thousands of nodes, and from about 9,500 nodes gives a number with more
 # digits than int -> str converts.
 GUESS_COUNT_LIMIT = 10**18
-# A parallel search scans in-process, in enumeration order, for up to this
-# many units of work: one per rarest class A examined and one per completion
-# tested.  It stops before an A whose completions could take it past them,
-# and only then starts worker processes for the rest.
-# On a 2-core x86 VM a unit takes 2.0-2.5 us, so the slice lasts 31-37 ms
-# (star_hypergraph(13, 4) and (14, 4), medians of 15), five to seven times
-# the 4.6-6.7 ms that starting and joining two workers costs.  A planted
-# 10-12-node witness of the search-direct benchmark spends 42-179 units
-# (decide folds its stars to one row and searches none of them), and an
-# exhaustive nrc4 on the 12-node star 11,742.  The 13-node star
-# hands off at 14,913 units, and any longer search pays about half a slice
-# for it, the part two workers would have shared; the 16-node star, whose
-# single-node A's make some 5,000 completions each, hands off at 14,829.
-SLICE_UNITS = 15_000
 
 RULE_COMPONENT_SPLIT = "component-split"
 RULE_NON_NEIGHBOR = "non-neighbor"
@@ -351,62 +328,35 @@ def nrc3(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     return NrcOutcome(None, RULE_EXHAUSTED)
 
 
-class _SliceSpent(Exception):
-    """A budgeted scan spent its budget.  The arguments are the position of
-    the first A that it left unscanned and the units it spent."""
-
-
-def _nrc4_scan(
-    rows: Sequence[int],
-    start: int = 0,
-    stride: int = 1,
-    facts: Optional[tuple[list, list]] = None,
-    budget: Optional[int] = None,
-) -> Optional[list[int]]:
+def _nrc4_scan(rows: Sequence[int]) -> Optional[list[int]]:
     """Scan (A, B) guesses in enumeration order, for each A that passes the
     link screen (``_link_admits``: every node outside A lies in a triple that
-    A's link leaves uncovered); with a stride, only every stride-th A from
-    position ``start`` on.  The triples and failed nodes found for one A are
-    kept for the next, in the two lists of ``facts`` when given.
+    A's link leaves uncovered).  The triples and failed nodes found for one A
+    are kept for the next.
 
     Per A, each node outside A is paired with its row masked to the edges
     that meet A; per B, the OR of B's rows marks the edges that meet A and
     B, and ``_complete`` tests whether the other nodes split under them.
     Class 3 of a witness is the component of the lowest node outside A and
     B.
-
-    With a budget, the scan counts one unit per A it examines and one per
-    completion, and raises ``_SliceSpent`` at the first A that could take it
-    past the budget: one whose completions would, if the screen passed it.
     """
     n = len(rows)
     guesses = chain.from_iterable(
         combinations(range(n), i) for i in range(1, n // 4 + 1)
     )
-    triples, dead = ([], []) if facts is None else facts
-    spent = 0
-    for k, a in enumerate(islice(guesses, start, None, stride)):
+    triples, dead = [], []
+    for a in guesses:
         i = len(a)
-        b_sizes = range(i, (n - i) // 3 + 1)
-        if budget is not None:
-            # a B of |A| nodes lies above min A, so n - min A - |A| choices
-            cost = 1 + sum(comb(n - a[0] - i if j == i else n - i, j)
-                           for j in b_sizes)
-            if spent + cost > budget:
-                raise _SliceSpent(start + k * stride, spent)
-            spent += 1
         amask = meets = 0
         for v in a:
             amask |= 1 << v
             meets |= rows[v]
         if not _link_admits(rows, amask, meets, triples, dead):
             continue
-        if budget is not None:
-            spent += cost - 1
         rest = {1 << v: rows[v] & meets for v in range(n) if not amask >> v & 1}
         above = [b for b in rest if b > amask & -amask]
         rest_mask = sum(rest)
-        for j in b_sizes:
+        for j in range(i, (n - i) // 3 + 1):
             for bcombo in combinations(above if j == i else rest, j):
                 bmask = reach = 0
                 for b in bcombo:
@@ -418,120 +368,33 @@ def _nrc4_scan(
     return None
 
 
-def nrc4(
-    h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP, parallel: bool = False
-) -> NrcOutcome:
+def nrc4(h: Hypergraph, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     """Exact 4-NRC by enumerating the two rarest color classes.
 
-    Sequential mode returns the lexicographically first witness in the order
-    of the module docstring (|A| <= |B|, min A < min B on ties).  Parallel
-    mode scans in that order in-process for up to SLICE_UNITS units of work
-    and returns the same witness if it finds one there; past the slice it
-    returns the first witness a worker process reports, and then terminates
-    the other workers.  Both modes give the same existence verdict.
+    Returns the lexicographically first witness in the order of the module
+    docstring (|A| <= |B|, min A < min B on ties).
     """
     n = h.node_count
     if n < 4:
         raise InvalidInstanceError("4-NRC needs at least 4 nodes")
     subject = f"the hypergraph has {n} nodes"
-    return nrc4_rows(incidence_rows(n, h.edges), guess_cap, parallel, subject)
+    return nrc4_rows(incidence_rows(n, h.edges), guess_cap, subject)
 
 
-def nrc4_rows(
-    rows: Sequence[int], guess_cap: int, parallel: bool, subject: str
-) -> NrcOutcome:
+def nrc4_rows(rows: Sequence[int], guess_cap: int, subject: str) -> NrcOutcome:
     """``nrc4`` on the nodes whose incidence rows these are, 4 or more; a
     refusal names ``subject``."""
     n = len(rows)
     check_budget(4, n, guess_cap, subject)
     if _covering_node(rows, 4) is not None:
         return NrcOutcome(None, RULE_EXHAUSTED)
-    classes = _nrc4_parallel(rows) if parallel else _nrc4_scan(rows)
+    classes = _nrc4_scan(rows)
     if classes is None:
         return NrcOutcome(None, RULE_EXHAUSTED)
     return NrcOutcome(_coloring_from_masks(n, classes), RULE_SEARCH_4)
 
 
-def _nrc4_parallel(rows: Sequence[int]) -> Optional[list[int]]:
-    """The sequential scan, handed to worker processes once it would spend
-    more than SLICE_UNITS in-process.
-
-    A witness found in the slice is the sequential one.  Past it, the A's
-    left are split over one process per CPU that this process may run on
-    (at most 8): with ``count`` workers, worker w scans the A's at positions
-    ``resume + w``, ``resume + w + count``, ..., where ``resume`` is the
-    first A the slice left, starting from the screen facts the slice found.
-    Each worker sends its result down a pipe of its own.  The first witness
-    received ends the search, and the workers still scanning are terminated.
-    No worker shares a lock, so terminating one in mid-send blocks nothing;
-    a pool's shared result queue would stay locked, and its shutdown hang.
-    A worker that ends without sending leaves its share unscanned, so the
-    search then raises SizeLimitError with the worker's exit code.
-    """
-    # the CPUs this process may run on, as os.process_cpu_count counts them
-    # from Python 3.13: fewer than the machine has in a narrowed container
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    count = min(cpus, 8)
-    if count <= 1:
-        return _nrc4_scan(rows)
-    facts: tuple[list, list] = ([], [])
-    try:
-        return _nrc4_scan(rows, facts=facts, budget=SLICE_UNITS)
-    except _SliceSpent as stop:
-        resume, spent = stop.args
-        log.debug(
-            "4-NRC search: %d units in-process, the A's from position %d on "
-            "in %d workers",
-            spent, resume, count,
-        )
-    workers = {}  # each worker by the receiving end of its pipe
-    try:
-        for offset in range(count):
-            receive, send = multiprocessing.Pipe(duplex=False)
-            worker = multiprocessing.Process(
-                target=_send_scan,
-                args=(send, rows, resume + offset, count, facts),
-            )
-            worker.start()
-            workers[receive] = worker
-            send.close()  # so a worker that dies unheard reads as EOF
-        pending = list(workers)
-        while pending:
-            for receive in wait(pending):
-                pending.remove(receive)
-                try:
-                    classes = receive.recv()
-                except EOFError:
-                    worker = workers[receive]
-                    worker.join()
-                    raise SizeLimitError(
-                        "4-NRC search stopped: a worker process ended with "
-                        f"exit code {worker.exitcode} before it reported its "
-                        "share of the guesses"
-                    ) from None
-                if classes is not None:
-                    return classes
-        return None
-    finally:
-        for worker in workers.values():
-            worker.terminate()
-            worker.join()
-
-
-def _send_scan(send, *scan_args):
-    """One worker of the parallel scan: its result goes down ``send``."""
-    send.send(_nrc4_scan(*scan_args))
-
-
-def nrc(
-    h: Hypergraph,
-    r: int,
-    guess_cap: int = DEFAULT_SEARCH_CAP,
-    parallel: bool = False,
-) -> NrcOutcome:
+def nrc(h: Hypergraph, r: int, guess_cap: int = DEFAULT_SEARCH_CAP) -> NrcOutcome:
     """Dispatch to the r-specific solver, trying the non-neighbor fast path first."""
     if r not in (2, 3, 4):
         raise InvalidInstanceError(f"r must be 2, 3, or 4, got {r}")
@@ -546,4 +409,4 @@ def nrc(
         return NrcOutcome(witness, RULE_NON_NEIGHBOR)
     if r == 3:
         return nrc3(h, guess_cap)
-    return nrc4(h, guess_cap, parallel)
+    return nrc4(h, guess_cap)

@@ -115,6 +115,8 @@ def _non_decisive(
 def decide(
     pattern: CoveragePattern,
     search_cap: int = DEFAULT_SEARCH_CAP,
+    # unused, but perfbench/run.py passes parallel=True for the
+    # search-parallel workload; it goes with that workload (ROADMAP item 8)
     parallel: bool = False,
 ) -> Verdict:
     """Decide decisiveness.
@@ -130,7 +132,7 @@ def decide(
     pattern's size, the kernel's row count ("not built" when a screen
     decided) and the elapsed time.
     """
-    verdict, kernel_rows = _decide(pattern, search_cap, parallel)
+    verdict, kernel_rows = _decide(pattern, search_cap)
     log.debug(
         "decide: %s, n=%d, k=%d, kernel rows %s, %.6f s",
         verdict.decided_by,
@@ -143,7 +145,7 @@ def decide(
 
 
 def _decide(
-    pattern: CoveragePattern, search_cap: int, parallel: bool
+    pattern: CoveragePattern, search_cap: int
 ) -> tuple[Verdict, Optional[int]]:
     """The verdict, and the row count of the kernel if one was built."""
     start = time.perf_counter()
@@ -171,7 +173,7 @@ def _decide(
         return Verdict(True, None, DECIDED_ROOTED, stats()), None
 
     ri = reduction.fold_kernel(reduction.reduce_pattern(pattern))
-    outcome = reduction.kernel_nrc4(ri, search_cap, parallel)
+    outcome = reduction.kernel_nrc4(ri, search_cap)
     engine = DECIDED_FPT if ri.spares else DECIDED_DIRECT
     if outcome.found:
         verdict = _non_decisive(

@@ -229,9 +229,7 @@ def lift_coloring(ri: ReducedInstance, reduced_coloring: Coloring) -> Coloring:
 
 
 def kernel_nrc4(
-    ri: ReducedInstance,
-    guess_cap: int = DEFAULT_SEARCH_CAP,
-    parallel: bool = False,
+    ri: ReducedInstance, guess_cap: int = DEFAULT_SEARCH_CAP
 ) -> NrcOutcome:
     """4-NRC of the source by an r = 4 search on the kernel ``ri`` (as
     ``reduce_pattern`` or ``fold_kernel`` builds it), the witness lifted to
@@ -245,7 +243,7 @@ def kernel_nrc4(
     if ri.n_reduced < 4:
         return NrcOutcome(None, RULE_EXHAUSTED)
     subject = f"the kernel of {len(ri.source_rows)} taxa has {ri.n_reduced} rows"
-    outcome = nrc4_rows(ri.rows, guess_cap, parallel, subject)
+    outcome = nrc4_rows(ri.rows, guess_cap, subject)
     if outcome.found:
         return NrcOutcome(lift_coloring(ri, outcome.witness), outcome.rule)
     return outcome

@@ -206,8 +206,11 @@ class TestFormats:
              "line 2: field larger than field limit"),
             ("check", "matrix-csv", b"taxon,L\na,1\nb\x00,1\n",
              "line 3: line contains NUL"),
+            ("check", "locus-list", b"L1: a b c d\nL2: c\x00 d\n",
+             "line 2: line contains NUL"),
         ],
-        ids=["check-not-utf8", "nrc-not-utf8", "check-huge-field", "check-nul"],
+        ids=["check-not-utf8", "nrc-not-utf8", "check-huge-field", "check-nul",
+             "locus-list-nul"],
     )
     def test_bad_input_bytes_exit_two(
         self, tmp_path, capsys, schema, command, fmt, data, where
@@ -355,6 +358,7 @@ class TestParserProperties:
     @given(PATTERN_TEXT, st.sampled_from(["matrix-csv", "locus-list"]))
     @example('taxon,L\n"a\rb",1\n', "matrix-csv")
     @example("L1: a b c\nL2: c d\n", "locus-list")
+    @example("0:\x00", "locus-list")
     def test_pattern_parse_is_total_and_round_trips(self, text, fmt):
         try:
             p = parse_pattern_text(text, fmt)
@@ -546,9 +550,8 @@ class TestCheck:
             assert run(args) == EXIT_NO_WITNESS
             assert run(args + [f"{flag}=-1"]) == EXIT_INPUT_ERROR
             assert "must not be negative, got -1" in capsys.readouterr().err
-        # nrc splits only the r = 4 search, and r = 2 searches under no budget
-        for r, flag in [("3", "--parallel"), ("2", "--parallel"),
-                        ("2", "--search-cap=0")]:
+        # nrc's r = 2 search runs under no budget
+        for r, flag in [("2", "--search-cap=0")]:
             args = ["nrc", "--r", r, "--input", str(f), "--format", "locus-list"]
             assert run(args) == EXIT_NO_WITNESS
             capsys.readouterr()
@@ -565,10 +568,11 @@ class TestCheck:
             for flag in ("--strategy=auto", "--oracle-cap=14", "--search-cap=34",
                          "--parallel")
         ]
-        + [("nrc", "--strategy=auto"), ("nrc", "--oracle-cap=14")]
+        + [("nrc", "--strategy=auto"), ("nrc", "--oracle-cap=14"),
+           ("nrc", "--parallel")]
         + [(command, flag)
            for command in ("check", "subset")
-           for flag in ("--strategy=auto", "--oracle-cap=14")]
+           for flag in ("--strategy=auto", "--oracle-cap=14", "--parallel")]
         + [("emit-cnf", "--surjectivity=aux")]
         + [("oracle", flag)
            for flag in ("--strategy=auto", "--search-cap=34", "--parallel")],

@@ -2,11 +2,7 @@
 
 import importlib
 import logging
-import multiprocessing
-import os
 import random
-import subprocess
-import sys
 import time
 from itertools import combinations
 from math import comb
@@ -24,7 +20,6 @@ from conftest import (
     reference_link_strands,
     reference_no_rainbow_colorings,
 )
-from decisive.cli import EXIT_CAP_EXCEEDED, run
 from decisive.core import (
     Coloring,
     CoveragePattern,
@@ -69,49 +64,6 @@ def planted(rng: random.Random, sizes: tuple[int, ...]) -> Hypergraph:
         if len({color[v] for v in q}) < r
     )
     return Hypergraph(len(color), edges)
-
-
-@pytest.fixture
-def two_cores(monkeypatch):
-    """A parallel search may run on two CPUs, so it runs two workers."""
-    monkeypatch.setattr(
-        nrc_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-    )
-
-
-@pytest.fixture
-def no_slice(monkeypatch):
-    """A parallel search hands every A to the workers."""
-    monkeypatch.setattr(nrc_module, "SLICE_UNITS", 0)
-
-
-@pytest.fixture
-def no_pool(monkeypatch):
-    """Starting a worker process raises AssertionError."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(nrc_module.multiprocessing, "Process", refuse)
-
-
-class InlineProcess:
-    """A stand-in for multiprocessing.Process that runs its target at
-    ``start``, in this process, and so in a fixed order."""
-
-    exitcode = 0
-
-    def __init__(self, target, args):
-        self.target, self.args = target, args
-
-    def start(self):
-        self.target(*self.args)
-
-    def terminate(self):
-        pass
-
-    def join(self):
-        pass
 
 
 class TestNrc2:
@@ -204,39 +156,12 @@ class TestNrc4:
     @pytest.mark.parametrize(
         "sizes", [(1, 1, 2, 3), (1, 1, 4, 6), (2, 2, 3, 3), (3, 3, 3, 3)]
     )
-    def test_planted_tied_classes_found(self, two_cores, sizes):
+    def test_planted_tied_classes_found(self, sizes):
         rng = random.Random(sum(sizes))
         for _ in range(3):
             h = planted(rng, sizes)
-            for out in (nrc4(h), nrc4(h, parallel=True)):
-                assert out.found and verify_no_rainbow(h, out.witness)
-
-    def test_parallel_stops_other_workers(self, two_cores, no_slice):
-        # only a guess with A = the singleton class completes, and only one
-        # worker makes it; the other's full scan takes about 25 s on 2 cores
-        h = planted(random.Random(0), (1, 5, 5, 5))
-        start = time.perf_counter()
-        out = nrc4(h, parallel=True)
-        assert time.perf_counter() - start < 5.0
-        assert out.found and verify_no_rainbow(h, out.witness)
-
-    def test_workers_finishing_together_never_hang(self):
-        # every worker's first guess completes, so all of them send at once;
-        # a worker terminated in mid-send once left the shared result queue
-        # of a multiprocessing.Pool locked, and the search hung within some
-        # 80-650 searches of this kind
-        script = (
-            "import importlib\n"
-            "from decisive.core import Hypergraph\n"
-            "nrc = importlib.import_module('decisive.nrc')\n"
-            "nrc.os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
-            "nrc.SLICE_UNITS = 0\n"
-            "for _ in range(250):\n"
-            "    assert nrc.nrc4(Hypergraph(11, ()), parallel=True).found\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                       timeout=30)
+            out = nrc4(h)
+            assert out.found and verify_no_rainbow(h, out.witness)
 
     def test_small_edges_ignored(self):
         # edges below size 4 cannot be rainbow with 4 colors
@@ -268,123 +193,18 @@ class TestNrc4:
         first = nrc4(h)
         assert nrc4(h) == first
 
-    def test_parallel_same_verdict(self, two_cores):
-        rng = random.Random(7)
-        for _ in range(5):
-            h = random_uniform_hypergraph(rng, 8, 4, 10)
-            seq = nrc4(h)
-            par = nrc4(h, parallel=True)
-            assert seq.found == par.found
-            if par.found:
-                assert verify_no_rainbow(h, par.witness)
-
-    # the n = 12 parallel benchmark instances, all scanned by the workers
-    @pytest.mark.parametrize(
-        "kind,arg",
-        [("star", 12), ("planted", (3, 3, 3, 3)), ("planted", (2, 3, 3, 4))],
-        ids=["star-12", "planted-3333", "planted-2334"],
-    )
-    def test_pool_agrees_and_leaves_no_workers(
-        self, two_cores, no_slice, kind, arg
-    ):
-        from decisive.bounds import star_hypergraph
-
-        if kind == "star":
-            h = star_hypergraph(arg, 4)
-        else:
-            h = planted(random.Random(sum(arg)), arg)
-        seq = nrc4(h)
-        par = nrc4(h, parallel=True)
-        assert par.found == seq.found == (kind == "planted")
-        if par.found:
-            assert verify_no_rainbow(h, par.witness)
-        assert multiprocessing.active_children() == []
-
-    def test_worker_that_dies_unheard_is_refused(
-        self, monkeypatch, two_cores, tmp_path, capsys
-    ):
-        # as if each worker were killed before it sent its result: its share
-        # of the guesses is unscanned, so "exhausted" would be a wrong answer;
-        # the 13-node star outlasts the slice, so it reaches the workers
-        from decisive.bounds import star_hypergraph
-
-        monkeypatch.setattr(nrc_module, "_send_scan", lambda *args: os._exit(1))
-        h = star_hypergraph(13, 4)
-        with pytest.raises(SizeLimitError) as err:
-            nrc4(h, parallel=True)
-        assert str(err.value) == (
-            "4-NRC search stopped: a worker process ended with exit code 1 "
-            "before it reported its share of the guesses"
-        )
-        assert multiprocessing.active_children() == []
-        f = tmp_path / "star.txt"
-        f.write_text("nodes 13\n" + "".join(
-            " ".join(map(str, e)) + "\n" for e in h.edges
-        ))
-        assert run(["nrc", "--input", str(f), "--format", "edge-list",
-                    "--parallel"]) == EXIT_CAP_EXCEEDED
-        assert "exit code 1" in capsys.readouterr().err
-
-
-# the sizes of the benchmark's planted patterns, n = 10-12
-PLANTED_SIZES = [
-    (2, 2, 3, 3), (2, 2, 2, 4), (2, 3, 3, 3), (2, 2, 3, 4), (2, 2, 2, 5),
-    (3, 3, 3, 3), (2, 3, 3, 4),
-]
-
 
 class TestSlice:
-    """A parallel search scans in-process for up to SLICE_UNITS units, then
-    hands the A's left to the workers."""
-
-    def test_witness_in_the_slice_is_the_sequential_one(
-        self, two_cores, no_pool
-    ):
-        from decisive.bounds import star_hypergraph
-
-        rng = random.Random(23)
-        cases = [star_hypergraph(n, 4) for n in (10, 11, 12)]
-        cases += [planted(rng, sizes) for sizes in PLANTED_SIZES for _ in range(3)]
-        for h in cases:
-            assert nrc4(h, parallel=True) == nrc4(h)
-
-    # 0 hands over every A, 1 all but the first, 100 ends within the first
-    # A's of every instance here
-    @pytest.mark.parametrize("units", [0, 1, 100])
-    def test_any_slice_gives_the_sequential_verdict(
-        self, monkeypatch, caplog, two_cores, units
-    ):
-        from decisive.bounds import star_hypergraph
-
-        monkeypatch.setattr(nrc_module, "SLICE_UNITS", units)
-        caplog.set_level(logging.DEBUG, logger="decisive.nrc")
-        rng = random.Random(units)
-        cases = [star_hypergraph(n, 4) for n in (10, 11, 12, 13)]
-        cases += [planted(rng, sizes) for sizes in PLANTED_SIZES]
-        for h in cases:
-            caplog.clear()
-            out = nrc4(h, parallel=True)
-            handed_off = "in 2 workers" in caplog.records[-1].getMessage()
-            assert out.found == nrc4(h).found
-            if out.found:
-                assert verify_no_rainbow(h, out.witness)
-            else:  # every star outlasts the slice
-                assert handed_off
-            assert multiprocessing.active_children() == []
+    """The sequential scan passes each A of its slice of guesses to the link
+    screen once."""
 
     # every A of the 12-node star, each passed to the link screen once: no
     # node of a star covers every triple of the others, so A runs over all
-    # nodes
-    @pytest.mark.parametrize("units", [0, 1, 3000, 11000])
-    def test_split_visits_every_live_a_once(self, monkeypatch, units):
+    # nodes, in any labelling of them; the case is the seed of the labelling
+    @pytest.mark.parametrize("seed", [0, 1, 3000, 11000])
+    def test_split_visits_every_live_a_once(self, monkeypatch, seed):
         from decisive.bounds import star_hypergraph
 
-        monkeypatch.setattr(nrc_module, "SLICE_UNITS", units)
-        monkeypatch.setattr(
-            nrc_module.os, "sched_getaffinity", lambda pid: {0, 1, 2},
-            raising=False,
-        )
-        monkeypatch.setattr(nrc_module.multiprocessing, "Process", InlineProcess)
         visited = []
         screen = nrc_module._link_admits
 
@@ -393,8 +213,13 @@ class TestSlice:
             return screen(rows, amask, *args)
 
         monkeypatch.setattr(nrc_module, "_link_admits", recorded)
-        h = star_hypergraph(12, 4)
-        assert not nrc4(h, parallel=True).found
+        star = star_hypergraph(12, 4)
+        label = list(range(12))
+        random.Random(seed).shuffle(label)
+        h = Hypergraph(12, tuple(
+            tuple(sorted(label[v] for v in e)) for e in star.edges
+        ))
+        assert not nrc4(h).found
         every_a = [
             sum(1 << v for v in a)
             for i in (1, 2, 3)
@@ -781,37 +606,6 @@ class TestGuessBudget:
             "4-NRC search: 9 of 9 nodes pass the link screen",
             "3-NRC search: 6 nodes, at most 21 guesses, budget 100",
             "3-NRC search: 6 of 6 nodes pass the link screen",
-        ]
-        assert all(
-            r.name == "decisive.nrc" and r.levelno == logging.DEBUG
-            for r in caplog.records
-        )
-
-    def test_short_parallel_search_starts_no_pool(self, two_cores, no_pool):
-        from decisive.bounds import star_hypergraph
-
-        # a planted witness turns up within the slice, on 11 nodes and on 12
-        for sizes in ((2, 3, 3, 3), (3, 3, 3, 3)):
-            h = planted(random.Random(1), sizes)
-            out = nrc4(h, parallel=True)
-            assert out == nrc4(h) and verify_no_rainbow(h, out.witness)
-        # the 12-node star is exhausted within it, the 13-node one is not
-        out = nrc4(star_hypergraph(12, 4), parallel=True)
-        assert not out.found and out.rule == RULE_EXHAUSTED
-        with pytest.raises(AssertionError, match="a pool was started"):
-            nrc4(star_hypergraph(13, 4), parallel=True)
-
-    def test_hand_off_logs_its_split(self, caplog, monkeypatch, two_cores):
-        from decisive.bounds import star_hypergraph
-
-        monkeypatch.setattr(nrc_module, "SLICE_UNITS", 1000)
-        caplog.set_level(logging.DEBUG, logger="decisive.nrc")
-        assert not nrc4(star_hypergraph(10, 4), parallel=True).found
-        assert [r.getMessage() for r in caplog.records] == [
-            "4-NRC search: 10 nodes, at most 1875 guesses, budget 10000000",
-            "4-NRC search: 10 of 10 nodes pass the link screen",
-            "4-NRC search: 889 units in-process, the A's from position 7 on "
-            "in 2 workers",
         ]
         assert all(
             r.name == "decisive.nrc" and r.levelno == logging.DEBUG

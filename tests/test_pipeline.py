@@ -154,7 +154,7 @@ class TestWitnessReverification:
         p = with_copies(planted, random.Random(5), 3)
         lifted = []
 
-        def rainbow_search(ri, search_cap, parallel):
+        def rainbow_search(ri, search_cap):
             kernel_coloring = Coloring(
                 4, tuple(min(i, 3) + 1 for i in range(ri.n_reduced))
             )
@@ -656,36 +656,15 @@ class TestLinkScreen:
         for p in screened[family]:
             assert_engines_agree(p)
 
+    # perfbench/run.py calls decide(parsed, parallel=True) for its
+    # search-parallel workload; decide takes the keyword and ignores it
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_parallel_search_gives_the_sequential_verdict(
-        self, monkeypatch, screened, family
-    ):
-        # two workers scan every A
-        monkeypatch.setattr(
-            nrc_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-        )
-        monkeypatch.setattr(nrc_module, "SLICE_UNITS", 0)
+    def test_parallel_search_gives_the_sequential_verdict(self, screened, family):
         for p in screened[family]:
-            h = build_hypergraph(p)
-            out = nrc4(h, parallel=True)
-            assert out.found == nrc4(h).found
-            if out.found:
-                assert verify_no_rainbow(h, out.witness)
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_parallel_search_in_the_slice_gives_the_sequential_witness(
-        self, monkeypatch, screened, family
-    ):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(
-            nrc_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-        )
-        monkeypatch.setattr(nrc_module.multiprocessing, "Process", no_pool)
-        for p in screened[family]:
-            h = build_hypergraph(p)
-            assert nrc4(h, parallel=True) == nrc4(h)
+            par, seq = decide(p, parallel=True), decide(p)
+            assert (par.decisive, par.witness, par.decided_by) == (
+                seq.decisive, seq.witness, seq.decided_by
+            )
 
 
 class TestDecisiveSubset:
